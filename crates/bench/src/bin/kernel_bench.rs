@@ -1,16 +1,13 @@
-//! Microkernel sparsity sweep: where does each conv format win?
+//! Microkernel sparsity sweep: what does the tiled kernel buy?
 //!
 //! Times one 3×3 conv layer at every pruning level (2EP/3EP/4EP taps
 //! per kernel, plus the unpruned dense weight) through all four
 //! executors — the scalar reference walk, the register-tiled pattern
-//! microkernel, the COO path, and the dense 9-tap microkernel — and
-//! reports the fig6-style crossover: pattern-tiled wins at high
-//! sparsity, dense wins once most taps survive, and COO loses at equal
-//! nnz because its irregular dispatch defeats the monomorphized inner
-//! loops. Each row also compiles the layer through the plan-time
-//! *timed* autotuner and reports which format it picked, so the sweep
-//! doubles as an end-to-end check that the tuner tracks the
-//! measurements.
+//! kernel (the one a compiled plan runs), the COO path, and the dense
+//! all-taps walk. The last three share one register-tiled body with a
+//! runtime tap loop and differ only in the tap lists they feed it, so
+//! at equal non-zeros they tie within run-to-run noise; the column
+//! that moves is tiled vs scalar.
 //!
 //! ```text
 //! kernel_bench [--reps N] [--image N] [--channels N] [--out-dir PATH] [--gate]
@@ -33,10 +30,7 @@ use rtoss_sparse::exec::{
     conv2d_dense_into_with, conv2d_pattern_scalar_into_with, conv2d_pattern_sparse_into_with,
     conv2d_unstructured_into_with, conv_output_shape,
 };
-use rtoss_sparse::{
-    coo_from_pattern, AutotuneMode, ExecutionPlan, FormatChoice, PatternCompressedConv,
-    PlanOptions, SparseModel,
-};
+use rtoss_sparse::{coo_from_pattern, PatternCompressedConv};
 use rtoss_tensor::exec::Epilogue;
 use rtoss_tensor::{init, ExecConfig};
 use serde::{Deserialize, Serialize};
@@ -51,14 +45,12 @@ struct KernelRow {
     density: f64,
     /// Scalar reference executor, best-of-reps ms.
     scalar_ms: f64,
-    /// Register-tiled pattern microkernel, best-of-reps ms.
+    /// Register-tiled pattern kernel, best-of-reps ms.
     tiled_ms: f64,
-    /// COO executor (same weights, per-run dynamic taps), best-of-reps ms.
+    /// COO executor (same weights, one tap list per run), best-of-reps ms.
     coo_ms: f64,
-    /// Dense 9-tap microkernel (zeros included), best-of-reps ms.
+    /// Dense all-taps walk (zeros included), best-of-reps ms.
     dense_ms: f64,
-    /// Format the plan-time timed autotuner picked for this layer.
-    autotune_pick: String,
 }
 
 impl KernelRow {
@@ -66,8 +58,7 @@ impl KernelRow {
     fn tiled_speedup(&self) -> f64 {
         self.scalar_ms / self.tiled_ms
     }
-    /// Fastest measured format for this row, first-of-min tie-break in
-    /// the same candidate order the autotuner uses.
+    /// Fastest measured executor for this row (first of equal minima).
     fn fastest(&self) -> &'static str {
         let candidates = [
             ("pattern", self.tiled_ms),
@@ -194,30 +185,6 @@ fn time_quad_ms(
     (ms[0], ms[1], ms[2], ms[3])
 }
 
-/// Compiles a one-conv graph holding this exact layer through the
-/// timed autotuner and returns the format it picked.
-fn autotune_pick(layer: &PatternCompressedConv, image: usize) -> String {
-    let dense_w = layer.to_dense();
-    let mut g = rtoss_nn::Graph::new();
-    let x = g.add_input("x");
-    let c = g
-        .add_layer(
-            "swept",
-            Box::new(rtoss_nn::layers::Conv2d::from_weight(dense_w, 1, 1)),
-            x,
-        )
-        .expect("valid node");
-    g.set_outputs(vec![c]).expect("valid output");
-    let engine = SparseModel::compile(&g).expect("engine compiles");
-    let opts = PlanOptions {
-        format: FormatChoice::Auto,
-        autotune: AutotuneMode::Timed { reps: 3 },
-    };
-    let plan = ExecutionPlan::compile_with(&engine, &[1, layer.in_channels(), image, image], &opts)
-        .expect("plan compiles");
-    plan.summary_for(&engine).steps[0].format.to_string()
-}
-
 fn measure(mode: &str, entries: Option<usize>, args: &Args) -> KernelRow {
     let layer = build_layer(args.channels, entries);
     let coo = coo_from_pattern(&layer);
@@ -306,7 +273,6 @@ fn measure(mode: &str, entries: Option<usize>, args: &Args) -> KernelRow {
         tiled_ms,
         coo_ms,
         dense_ms,
-        autotune_pick: autotune_pick(&layer, args.image),
     }
 }
 
@@ -380,7 +346,6 @@ fn main() {
                 format!("{:.3}", r.dense_ms),
                 format!("{:.2}x", r.tiled_speedup()),
                 r.fastest().to_string(),
-                r.autotune_pick.clone(),
             ]
         })
         .collect();
@@ -393,7 +358,6 @@ fn main() {
         "dense ms",
         "tiled x",
         "fastest",
-        "autotune",
     ];
     let title = "Conv microkernels across sparsity: scalar vs tiled vs COO vs dense";
     print_table(title, &headers, &table);
@@ -418,10 +382,10 @@ fn main() {
         text.push('\n');
     }
     text.push_str(&format!(
-        "\nscalar = per-tap reference walk; tiled = register-tiled pattern microkernel\n\
-         (monomorphized per tap arity); coo = same weights through per-run dynamic taps;\n\
-         dense = 9-tap microkernel including stored zeros. fastest = measured minimum;\n\
-         autotune = format the plan-time timed tuner picked for the same layer.\n\
+        "\nscalar = per-tap reference walk; tiled = register-tiled pattern kernel (the one\n\
+         a compiled plan runs); coo = same weights, same tiled body, one tap list per run;\n\
+         dense = same tiled body over all 9 taps including stored zeros.\n\
+         fastest = measured minimum of tiled/coo/dense.\n\
          Timer calibration spread: {timer_spread:.3} (gate trusts the host below {CALIBRATION_SPREAD}).\n\
          All executors are bit-identical (rtoss-verify RV092); deltas are strategy only.\n"
     ));

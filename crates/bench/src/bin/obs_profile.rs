@@ -8,15 +8,12 @@
 //!
 //! ```text
 //! obs_profile [--image N] [--threads N] [--repeats N] [--top N] [--out PATH]
-//!             [--no-plan]
 //! ```
 //!
-//! By default the engines run through compiled execution plans, and the
-//! per-layer table carries two extra columns joined from the plan:
-//! the epilogue fusion applied to each step (`affine+act` marks a conv
-//! that absorbed its BN and activation) and the arena slot holding its
-//! output. `--no-plan` profiles the per-call interpreter instead (no
-//! plan columns). Writes the combined report to
+//! The per-layer table carries two columns joined from the compiled
+//! execution plan: the epilogue fusion applied to each step
+//! (`affine+act` marks a conv that absorbed its BN and activation) and
+//! the arena slot holding its output. Writes the combined report to
 //! `results/obs/profile.txt` by default.
 
 use rtoss_core::{EntryPattern, Pruner, RTossPruner};
@@ -32,7 +29,6 @@ struct Args {
     repeats: usize,
     top: usize,
     out: String,
-    plan: bool,
 }
 
 fn parse_args() -> Args {
@@ -42,13 +38,11 @@ fn parse_args() -> Args {
         repeats: 5,
         top: 12,
         out: "results/obs/profile.txt".to_string(),
-        plan: true,
     };
     fn usage_error(msg: &str) -> ! {
         eprintln!("obs_profile: {msg}");
         eprintln!(
-            "usage: obs_profile [--image N] [--threads N] [--repeats N] [--top N] [--out PATH] \
-             [--no-plan]"
+            "usage: obs_profile [--image N] [--threads N] [--repeats N] [--top N] [--out PATH]"
         );
         std::process::exit(2);
     }
@@ -68,7 +62,6 @@ fn parse_args() -> Args {
             "--repeats" => args.repeats = number(&flag, &value()),
             "--top" => args.top = number(&flag, &value()),
             "--out" => args.out = value(),
-            "--no-plan" => args.plan = false,
             other => usage_error(&format!("unknown flag {other}")),
         }
     }
@@ -95,23 +88,17 @@ fn build(model: &str, entry: Option<EntryPattern>, seed: u64) -> SparseModel {
 struct PlanCols {
     fused: &'static str,
     slot: usize,
-    /// Conv format the autotuner selected; `-` for non-conv steps.
-    format: &'static str,
-    /// The winning candidate's measured min-of-reps time; `None` when
-    /// the choice was heuristic or forced (no measurement ran).
-    tuned_ns: Option<u64>,
 }
 
-/// Per-layer table with the plan join: fusion kind, arena slot, and the
-/// autotuned conv format per step, looked up by graph node name
-/// (absorbed BN/activation nodes execute inside their conv's epilogue
-/// and so have no row of their own). `plan` is `None` under
-/// `--no-plan`.
+/// Per-layer table with the plan join: fusion kind and arena slot per
+/// step, looked up by graph node name (absorbed BN/activation nodes
+/// execute inside their conv's epilogue and so have no row of their
+/// own).
 fn render_layers(
     layers: &[&obs::SpanStat],
     top: usize,
     repeats: usize,
-    plan: Option<&HashMap<String, PlanCols>>,
+    plan: &HashMap<String, PlanCols>,
 ) -> String {
     let shown = if top == 0 {
         layers.len()
@@ -128,8 +115,8 @@ fn render_layers(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<name_w$}  {:>7}  {:>12}  {:>6}  {:>10}  {:>5}  {:>7}  {:>9}",
-        "name", "count", "self(ms/it)", "self%", "fused", "slot", "format", "tuned(us)"
+        "{:<name_w$}  {:>7}  {:>12}  {:>6}  {:>10}  {:>5}",
+        "name", "count", "self(ms/it)", "self%", "fused", "slot"
     );
     for s in &layers[..shown] {
         let pct = if total_self == 0 {
@@ -137,28 +124,19 @@ fn render_layers(
         } else {
             100.0 * s.self_ns as f64 / total_self as f64
         };
-        let cols = plan.and_then(|p| p.get(s.name.trim_start_matches("layer:")));
-        let (fused, slot, fmt, tuned) = match cols {
-            Some(c) => (
-                c.fused,
-                c.slot.to_string(),
-                c.format,
-                c.tuned_ns
-                    .map_or("-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e3)),
-            ),
-            None => ("-", "-".to_string(), "-", "-".to_string()),
+        let (fused, slot) = match plan.get(s.name.trim_start_matches("layer:")) {
+            Some(c) => (c.fused, c.slot.to_string()),
+            None => ("-", "-".to_string()),
         };
         let _ = writeln!(
             out,
-            "{:<name_w$}  {:>7}  {:>12.3}  {:>5.1}%  {:>10}  {:>5}  {:>7}  {:>9}",
+            "{:<name_w$}  {:>7}  {:>12.3}  {:>5.1}%  {:>10}  {:>5}",
             s.name,
             s.count,
             s.self_ns as f64 / 1e6 / repeats as f64,
             pct,
             fused,
-            slot,
-            fmt,
-            tuned
+            slot
         );
     }
     if layers.len() > shown {
@@ -205,42 +183,29 @@ fn main() {
         args.repeats, args.image, args.image, args.threads
     );
     for (model, mode, entry) in configs {
-        let engine = build(model, entry, 0x5EED).with_planning(args.plan);
-        let plan_map = if args.plan {
-            let summary = engine
-                .plan_summary(&[1, 3, args.image, args.image])
-                .expect("plans");
-            report.push_str(&format!(
-                "\n== {model} {mode}: arena {} KiB (peak live {} KiB, interpreter would retain {} KiB) ==\n",
-                summary.arena_bytes / 1024,
-                summary.peak_live_bytes / 1024,
-                summary.retained_bytes / 1024
-            ));
-            Some(
-                summary
-                    .steps
-                    .iter()
-                    .map(|s| {
-                        let tuned_ns = s
-                            .autotune_ns
-                            .iter()
-                            .find(|(cand, _)| *cand == s.format)
-                            .map(|&(_, ns)| ns);
-                        (
-                            s.name.clone(),
-                            PlanCols {
-                                fused: s.fused,
-                                slot: s.out_slot,
-                                format: s.format,
-                                tuned_ns,
-                            },
-                        )
-                    })
-                    .collect::<HashMap<_, _>>(),
-            )
-        } else {
-            None
-        };
+        let engine = build(model, entry, 0x5EED);
+        let summary = engine
+            .plan_summary(&[1, 3, args.image, args.image])
+            .expect("plans");
+        report.push_str(&format!(
+            "\n== {model} {mode}: arena {} KiB (peak live {} KiB, all outputs retained {} KiB) ==\n",
+            summary.arena_bytes / 1024,
+            summary.peak_live_bytes / 1024,
+            summary.retained_bytes / 1024
+        ));
+        let plan_map: HashMap<String, PlanCols> = summary
+            .steps
+            .iter()
+            .map(|s| {
+                (
+                    s.name.clone(),
+                    PlanCols {
+                        fused: s.fused,
+                        slot: s.out_slot,
+                    },
+                )
+            })
+            .collect();
         let profile = profile_engine(&engine, &args, 0x5EED);
         let layers = profile.with_prefix("layer:");
         assert!(
@@ -248,20 +213,12 @@ fn main() {
             "{model}/{mode}: traced run produced no layer spans"
         );
         let total_ms: f64 = layers.iter().map(|s| s.self_ns as f64 / 1e6).sum();
-        if plan_map.is_none() {
-            report.push_str(&format!("\n== {model} {mode} ==\n"));
-        }
         report.push_str(&format!(
             "{} layer spans, {:.3} ms total layer self time per iteration\n",
             layers.len(),
             total_ms / args.repeats as f64
         ));
-        report.push_str(&render_layers(
-            &layers,
-            args.top,
-            args.repeats,
-            plan_map.as_ref(),
-        ));
+        report.push_str(&render_layers(&layers, args.top, args.repeats, &plan_map));
     }
 
     print!("{report}");

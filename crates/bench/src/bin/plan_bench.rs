@@ -1,12 +1,11 @@
-//! Plan-vs-interpreter benchmark: what does compile-before-run buy?
+//! Plan benchmark: serial vs graph-parallel plan, and plan memory.
 //!
-//! Times every (twin, pruning) configuration through the per-call
-//! graph interpreter and through the compiled [`ExecutionPlan`]
-//! (epilogue fusion + arena reuse), on the same input, and reports the
-//! latency delta next to the plan's memory accounting: arena bytes
-//! (the plan's actual activation footprint), peak live bytes (the
-//! liveness lower bound), and retained bytes (what the interpreter
-//! holds when it keeps every activation until the forward returns).
+//! Times every (twin, pruning) configuration through the compiled
+//! [`ExecutionPlan`] (epilogue fusion + arena reuse) and reports its
+//! latency next to the plan's memory accounting: arena bytes (the
+//! plan's actual activation footprint), peak live bytes (the liveness
+//! lower bound), and retained bytes (what a forward would hold if it
+//! kept every activation until it returned).
 //!
 //! ```text
 //! plan_bench [--reps N] [--image N] [--threads N] [--out-dir PATH] [--gate-par]
@@ -21,9 +20,9 @@
 //! overhead, not scaling.
 //!
 //! Writes `results/plan/plan_bench.txt` + `results/plan/plan_bench.json`
-//! by default. All paths are bit-identical by construction (proved
+//! by default. Both widths are bit-identical by construction (proved
 //! by rtoss-verify RV052 and the sparse crate's property tests), so the
-//! deltas here are pure execution-strategy effects.
+//! delta here is a pure scheduling effect.
 //!
 //! [`ExecutionPlan`]: rtoss_sparse::ExecutionPlan
 
@@ -43,8 +42,6 @@ struct PlanRow {
     mode: String,
     /// Conv-weight compression of the compiled engine.
     compression: f64,
-    /// Interpreter forward, best-of-reps milliseconds per frame.
-    interp_ms: f64,
     /// Serial planned forward (fusion + arena, width 1), best-of-reps
     /// milliseconds per frame.
     plan_ms: f64,
@@ -55,27 +52,11 @@ struct PlanRow {
     arena_bytes: u64,
     /// Liveness lower bound on activation bytes.
     peak_live_bytes: u64,
-    /// Activation bytes the interpreter retains (every step's output).
+    /// Activation bytes kept if every step's output were retained.
     retained_bytes: u64,
-    /// Conv steps per selected kernel format, from the plan's
-    /// per-layer format choices (RV091-checked).
-    formats: Vec<FormatCount>,
-}
-
-/// Count of conv steps that selected one kernel format, sorted by
-/// format name for stable output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FormatCount {
-    /// Kernel format label: `pattern`, `coo`, or `dense`.
-    format: String,
-    /// Conv steps in the plan that selected it.
-    steps: u64,
 }
 
 impl PlanRow {
-    fn speedup(&self) -> f64 {
-        self.interp_ms / self.plan_ms
-    }
     /// Parallel-plan speedup over the serial plan (>1 = parallel wins).
     fn par_scaling(&self) -> f64 {
         self.plan_ms / self.par_ms
@@ -92,8 +73,7 @@ struct PlanBenchReport {
     image: u64,
     /// Timed repetitions per cell.
     reps: u64,
-    /// Threads: interpreter intra-op tiling width and planned-path
-    /// graph-level width.
+    /// Graph-level width of the parallel plan.
     threads: u64,
     /// Cores the host actually has (`available_parallelism`) — the
     /// parallel-plan column only means scaling when this is > 1.
@@ -157,26 +137,22 @@ fn frame_ms(f: &mut impl FnMut() -> Vec<rtoss_tensor::Tensor>) -> f64 {
 }
 
 /// Times `reps` frames of each path *interleaved* (one serial-plan
-/// frame, one parallel-plan frame, one interpreted frame, repeat) and
-/// reports the per-path minimum — robust against clock-speed drift and
-/// co-tenant noise, which a back-to-back block measurement folds
-/// entirely into one path.
-fn time_trio_ms(
+/// frame, one parallel-plan frame, repeat) and reports the per-path
+/// minimum — robust against clock-speed drift and co-tenant noise,
+/// which a back-to-back block measurement folds entirely into one path.
+fn time_pair_ms(
     reps: usize,
     mut serial_plan: impl FnMut() -> Vec<rtoss_tensor::Tensor>,
     mut par_plan: impl FnMut() -> Vec<rtoss_tensor::Tensor>,
-    mut interp: impl FnMut() -> Vec<rtoss_tensor::Tensor>,
-) -> (f64, f64, f64) {
+) -> (f64, f64) {
     std::hint::black_box(serial_plan()); // warm-up
     std::hint::black_box(par_plan());
-    std::hint::black_box(interp());
-    let (mut plan_ms, mut par_ms, mut interp_ms) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut plan_ms, mut par_ms) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
         plan_ms = plan_ms.min(frame_ms(&mut serial_plan));
         par_ms = par_ms.min(frame_ms(&mut par_plan));
-        interp_ms = interp_ms.min(frame_ms(&mut interp));
     }
-    (plan_ms, par_ms, interp_ms)
+    (plan_ms, par_ms)
 }
 
 fn measure(model: &str, mode: &str, entry: Option<EntryPattern>, args: &Args) -> PlanRow {
@@ -199,39 +175,21 @@ fn measure(model: &str, mode: &str, entry: Option<EntryPattern>, args: &Args) ->
 
     // Plan first so compilation happens outside all timed regions.
     let summary = engine.plan_summary(&shape).expect("plans");
-    let (plan_ms, par_ms, interp_ms) = time_trio_ms(
+    let (plan_ms, par_ms) = time_pair_ms(
         args.reps,
         || engine.forward_with(&x, &serial).expect("serial plan"),
         || engine.forward_with(&x, &exec).expect("parallel plan"),
-        || {
-            engine
-                .forward_interpreted_with(&x, &exec)
-                .expect("interpreted forward")
-        },
     );
-
-    let mut counts = std::collections::BTreeMap::new();
-    for step in &summary.steps {
-        if step.format != "-" {
-            *counts.entry(step.format.to_string()).or_insert(0u64) += 1;
-        }
-    }
-    let formats = counts
-        .into_iter()
-        .map(|(format, steps)| FormatCount { format, steps })
-        .collect();
 
     PlanRow {
         model: model.to_string(),
         mode: mode.to_string(),
         compression: engine.compression_ratio(),
-        interp_ms,
         plan_ms,
         par_ms,
         arena_bytes: summary.arena_bytes,
         peak_live_bytes: summary.peak_live_bytes,
         retained_bytes: summary.retained_bytes,
-        formats,
     }
 }
 
@@ -267,38 +225,28 @@ fn main() {
             vec![
                 format!("{} {}", r.model, r.mode),
                 format!("{:.2}x", r.compression),
-                format!("{:.2}", r.interp_ms),
                 format!("{:.2}", r.plan_ms),
                 format!("{:.2}", r.par_ms),
                 format!("{:.2}x", r.par_scaling()),
-                format!("{:.2}x", r.speedup()),
                 format!("{}", r.arena_bytes / 1024),
                 format!("{}", r.peak_live_bytes / 1024),
                 format!("{}", r.retained_bytes / 1024),
                 format!("{:.0}%", 100.0 * r.memory_saving()),
-                r.formats
-                    .iter()
-                    .map(|f| format!("{}:{}", f.format, f.steps))
-                    .collect::<Vec<_>>()
-                    .join(" "),
             ]
         })
         .collect();
     let headers = [
         "config",
         "compress",
-        "interp ms",
         "plan ms",
         "par ms",
         "par x",
-        "speedup",
         "arena KiB",
         "live KiB",
-        "interp KiB",
+        "retained KiB",
         "mem saved",
-        "formats",
     ];
-    let title = "Compile-before-run: planned (fused, arena) vs per-call interpreter";
+    let title = "Compiled plan (fused, arena): serial vs graph-parallel, and activation memory";
     print_table(title, &headers, &table);
 
     let report = PlanBenchReport {
@@ -324,8 +272,8 @@ fn main() {
         "\nplan = serial plan (width 1); par = the same plan at graph-level width {t}\n\
          on the persistent worker pool; par x = plan ms / par ms (host: {host_cores} core(s)).\n\
          arena = activation bytes the plan allocates (slots reused after last consumer);\n\
-         live = liveness lower bound; interp = bytes the interpreter retains per forward.\n\
-         Outputs are bit-identical across all paths (rtoss-verify RV052).\n",
+         live = liveness lower bound; retained = bytes kept if every output lived to the end.\n\
+         Outputs are bit-identical at both widths (rtoss-verify RV052).\n",
         t = args.threads
     ));
     let txt_path = format!("{}/plan_bench.txt", args.out_dir);

@@ -687,7 +687,6 @@ mod tests {
 
     struct Echo {
         delay: Duration,
-        planned: bool,
     }
 
     impl ServeModel for Echo {
@@ -697,17 +696,10 @@ mod tests {
             }
             Ok(vec![batch.clone()])
         }
-
-        fn plans(&self) -> bool {
-            self.planned
-        }
     }
 
     fn echo(delay: Duration) -> Arc<dyn ServeModel> {
-        Arc::new(Echo {
-            delay,
-            planned: false,
-        })
+        Arc::new(Echo { delay })
     }
 
     fn tiers(delay: Duration) -> Vec<(TierSpec, Arc<dyn ServeModel>)> {
@@ -854,20 +846,12 @@ mod tests {
     }
 
     #[test]
-    fn planned_models_keep_configured_threads() {
+    fn models_keep_configured_threads() {
         // The old planned-path guard clamped threads to 1 around the
         // par_scaling collapse; with the levelled plan scheduler the
-        // configured width must survive for planned and unplanned
-        // models alike.
-        let planned: Vec<(TierSpec, Arc<dyn ServeModel>)> = vec![(
-            TierSpec::new("dense", 75.0),
-            Arc::new(Echo {
-                delay: Duration::ZERO,
-                planned: true,
-            }) as _,
-        )];
+        // configured width must survive.
         let fleet = Fleet::start(
-            planned,
+            vec![(TierSpec::new("dense", 75.0), echo(Duration::ZERO))],
             FleetConfig {
                 replicas: 1,
                 serve: ServeConfig {

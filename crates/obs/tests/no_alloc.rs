@@ -4,19 +4,33 @@
 //! serving hot path, so when tracing is off a span probe must cost a
 //! flag load — in particular, zero heap traffic. A counting global
 //! allocator makes that a hard assertion rather than a benchmark.
+//!
+//! The count is per thread: the test harness runs tests on parallel
+//! threads, and an allocation a sibling test makes inside the counted
+//! window must not be charged to the thread under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and
+    /// without a destructor, so touching it from inside the allocator
+    /// never allocates or fails.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation to the system allocator unchanged;
 // the counter increment has no effect on allocation semantics.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: forwarded verbatim; caller upholds the layout contract.
         unsafe { System.alloc(layout) }
     }
@@ -47,7 +61,7 @@ fn disabled_tracing_allocates_nothing_per_span() {
     drop(rtoss_obs::span("warmup"));
     rtoss_obs::emit_instant("warmup", Vec::new());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         let _guard = rtoss_obs::span("probe");
         // The lazy variants must not even run their closures when
@@ -67,7 +81,7 @@ fn disabled_tracing_allocates_nothing_per_span() {
         });
         std::hint::black_box(i);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -85,7 +99,7 @@ fn suppressed_lazy_instants_allocate_nothing_with_tracing_on() {
     rtoss_obs::set_sample_every(u64::MAX);
     drop(rtoss_obs::batch_scope());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         let scope = rtoss_obs::batch_scope();
         assert!(!scope.recording(), "sampling must suppress this scope");
@@ -97,7 +111,7 @@ fn suppressed_lazy_instants_allocate_nothing_with_tracing_on() {
         });
         std::hint::black_box(i);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     rtoss_obs::set_sample_every(1);
     rtoss_obs::set_enabled(false);
     assert_eq!(
@@ -121,7 +135,7 @@ fn disabled_series_recorders_allocate_nothing_per_sample() {
     let gauge = WindowedGauge::new(spec);
     let histogram = WindowedHistogram::new(spec, &[100, 1_000, 10_000]);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         let ts = i * 1_000_000;
         counter.add_at(ts, i);
@@ -130,7 +144,7 @@ fn disabled_series_recorders_allocate_nothing_per_sample() {
         histogram.record_at(ts, i);
         std::hint::black_box(i);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

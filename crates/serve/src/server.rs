@@ -65,15 +65,6 @@ pub trait ServeModel: Send + Sync + 'static {
     fn peak_activation_bytes(&self) -> Option<u64> {
         None
     }
-
-    /// Whether this model executes through compiled execution plans.
-    /// For planned models `exec.threads` is the *graph-level* width —
-    /// independent plan steps fan out across the persistent worker
-    /// pool, and outputs stay bit-identical at every width — so
-    /// callers need no thread clamping on this path.
-    fn plans(&self) -> bool {
-        false
-    }
 }
 
 impl ServeModel for SparseModel {
@@ -89,17 +80,11 @@ impl ServeModel for SparseModel {
     }
 
     fn prewarm(&self, input_shape: &[usize], _exec: &ExecConfig) {
-        if self.planning() {
-            let _ = self.plan_for(input_shape);
-        }
+        let _ = self.plan_for(input_shape);
     }
 
     fn peak_activation_bytes(&self) -> Option<u64> {
         SparseModel::peak_activation_bytes(self)
-    }
-
-    fn plans(&self) -> bool {
-        self.planning()
     }
 }
 

@@ -2,38 +2,33 @@
 //!
 //! Every executor computes exactly the same result as
 //! [`rtoss_tensor::ops::conv2d`] on the masked dense weights (up to
-//! f32 summation order); they differ in how they traverse the
-//! surviving weights:
+//! f32 summation order); they differ only in where the kernels they
+//! walk come from:
 //!
-//! - [`conv2d_pattern_sparse`]: register-tiled microkernel path over
-//!   the layer's [`PatternPack`] — per [`NR`]-wide output-row segment
-//!   a stack accumulator tile takes every kernel's taps through the
-//!   arity-monomorphized [`rtoss_tensor::microkernel`] bodies, then
-//!   writes back once with the fused epilogue. Regular,
-//!   cache-friendly, and work ∝ surviving weights.
-//! - [`conv2d_unstructured`]: the same tile walk over a [`CooPack`],
-//!   but every `(oc, ic)` run dispatches through the arity-*generic*
-//!   body — no fixed-tap monomorphization, modelling the
-//!   irregularity penalty the paper attributes to unstructured
-//!   sparsity (§II.B).
-//! - [`conv2d_dense`]: all `k×k` taps of every kernel, zeros
-//!   included — the autotuner's dense candidate for layers that kept
-//!   most of their weights.
-//! - [`conv2d_pattern_scalar_into_with`]: the scalar reference — one
-//!   row-sweep per tap, no tiling. The proptests and RV092 pin every
-//!   tiled variant bit-identical to this.
+//! - [`conv2d_pattern_sparse`]: the layer's own [`KernelPack`] — the
+//!   one conv kernel a compiled plan runs, for pruned and unpruned
+//!   layers alike.
+//! - [`conv2d_unstructured`]: a COO layer's [`KernelPack`] — the
+//!   paper's unstructured comparison on the same weights.
+//! - [`conv2d_dense`]: all `k×k` taps of every kernel, zeros included
+//!   — the benches' dense baseline in the same accumulation order.
+//!
+//! All three share one register-tiled body: per [`MR`]×[`NR`] output
+//! tile a stack accumulator block takes every kernel's taps through
+//! [`accum_taps`]'s runtime tap loop, then writes back once with the
+//! fused epilogue. [`conv2d_pattern_scalar_into_with`] is the scalar
+//! reference — one row-sweep per tap, no tiling. The proptests and
+//! RV092 pin every tiled executor bit-identical to it.
 //!
 //! # Canonical accumulation order
 //!
-//! All four paths accumulate each output element as `bias`, then taps
-//! in ascending `(ic, ky, kx)` order (the pack order). f32 addition
-//! does not commute in rounding, so sharing one chain is what makes
-//! the paths bit-identical to each other — and therefore lets the
-//! plan-time format autotuner swap kernels per layer without changing
-//! a single output bit. The dense path additionally adds `0.0 * x`
-//! for pruned taps, which is bitwise inert except when an output
-//! element is exactly `±0.0` *and* the layer bias is `-0.0` — the
-//! executors' contract excludes negative-zero biases.
+//! All paths accumulate each output element as `bias`, then taps in
+//! ascending `(ic, ky, kx)` order (the pack order). f32 addition does
+//! not commute in rounding, so sharing one chain is what makes the
+//! paths bit-identical to each other. The dense path additionally adds
+//! `0.0 * x` for pruned taps, which is bitwise inert except when an
+//! output element is exactly `±0.0` *and* the layer bias is `-0.0` —
+//! the executors' contract excludes negative-zero biases.
 //!
 //! Every executor tiles its output into `(batch, out-channel)` planes
 //! and runs the tiles across scoped threads (`*_with` variants take an
@@ -42,16 +37,15 @@
 //! serial sweep's floating-point order, so results are bit-identical
 //! for every thread count.
 //!
-//! [`PatternPack`]: crate::pack::PatternPack
-//! [`CooPack`]: crate::pack::CooPack
+//! [`KernelPack`]: crate::pack::KernelPack
+//! [`MR`]: rtoss_tensor::microkernel::MR
 //! [`NR`]: rtoss_tensor::microkernel::NR
+//! [`accum_taps`]: rtoss_tensor::microkernel::accum_taps
 
 use crate::format::{PatternCompressedConv, UnstructuredSparseConv};
-use crate::pack::PatternPack;
 use rtoss_tensor::exec::{run_tiles, Epilogue, ExecConfig};
 use rtoss_tensor::microkernel::{
-    accum_kernel, accum_taps, accum_taps_dyn, pad_plane_into, padded_plane_len, writeback,
-    FastDivmod, Tile, MR, NR,
+    accum_taps, pad_plane_into, padded_plane_len, writeback, FastDivmod, Tile, MR, NR,
 };
 use rtoss_tensor::ops::out_extent;
 use rtoss_tensor::{Tensor, TensorError};
@@ -254,31 +248,30 @@ fn conv_entry(
 /// Register-tiled `(batch, out-channel)`-plane driver shared by the
 /// pattern, COO, and dense executors. Stages the input into
 /// zero-padded planes (one pass — see the microkernel module docs),
-/// then walks each output plane in [`MR`]×[`NR`] tiles and hands each
-/// tile to `tile_fn(oc, tile, x_batch, out_plane)`. Block and plane
-/// indices are decomposed with [`FastDivmod`] — no hardware divide on
-/// the walk.
+/// then walks each output plane in [`MR`]×[`NR`] tiles. Per tile the
+/// accumulator block starts at the bias, takes every kernel
+/// `kernels(oc)` yields — `(ic, taps, vals)` in canonical order —
+/// through [`accum_taps`], and is written back once with the fused
+/// epilogue. Block and plane indices are decomposed with
+/// [`FastDivmod`] — no hardware divide on the walk.
 ///
-/// `tile_fn` owns the whole tile body: it creates the accumulator
-/// block, runs the format's canonical tap chain over it, and writes
-/// back with the fused epilogue. That ownership is deliberate — the
-/// block must live and die inside one function frame whose callees
-/// are all `#[inline(always)]`, so its address never crosses a real
-/// call boundary and LLVM can promote it to vector registers (see the
-/// microkernel module docs). Passing `&mut` accumulators *into* a
-/// closure parameter defeats that: the closure is big enough that the
-/// inliner may keep the call, and an escaped alloca is stack-bound.
-///
-/// `x_batch` is the staged batch slice; in-channel plane `ic` starts
-/// at `ic * padded_plane_len(...)` within it (the executors compute
-/// the same stride from the shared geometry).
-fn run_tiled_conv(
+/// The block lives and dies inside this one frame, and its only
+/// callees are `#[inline(always)]`, so its address never crosses a
+/// real call boundary and LLVM can promote it to vector registers (see
+/// the microkernel module docs). `kernels` only yields slices; it
+/// never sees the block.
+#[allow(clippy::too_many_arguments)]
+fn run_tiled_conv<'w, I>(
     x: &[f32],
     g: ConvGeom,
+    bias: Option<&[f32]>,
+    epilogue: &Epilogue<'_>,
     out: &mut [f32],
     threads: usize,
-    tile_fn: impl Fn(usize, &Tile, &[f32], &mut [f32]) + Sync,
-) {
+    kernels: impl Fn(usize) -> I + Sync,
+) where
+    I: Iterator<Item = (usize, &'w [(u8, u8)], &'w [f32])>,
+{
     let plane = g.oh * g.ow;
     let segs_per_row = g.ow.div_ceil(NR).max(1);
     let row_blocks = g.oh.div_ceil(MR).max(1);
@@ -312,7 +305,14 @@ fn run_tiled_conv(
                 nr: NR.min(g.ow - ox0),
                 stride: g.stride,
             };
-            tile_fn(oc, &tile, x_batch, out_plane);
+            let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
+            for (ic, taps, vals) in kernels(oc) {
+                if ic >= g.c {
+                    continue; // corrupt layer; RV011/RV013 reject pre-flight
+                }
+                accum_taps(&mut acc, &x_batch[ic * php..], &tile, taps, vals);
+            }
+            writeback(out_plane, g.ow, &tile, &acc, oc, epilogue);
         }
     });
 }
@@ -370,9 +370,9 @@ pub fn conv2d_pattern_sparse_with(
 }
 
 /// Write-into-buffer variant of [`conv2d_pattern_sparse_with`] with an
-/// [`Epilogue`] hook: the compiled execution plan's pattern-format
-/// conv step, running the register-tiled monomorphized microkernels
-/// over the layer's prebuilt [`PatternPack`].
+/// [`Epilogue`] hook: the compiled execution plan's conv step, running
+/// the register-tiled microkernel over the layer's prebuilt
+/// [`KernelPack`].
 ///
 /// `x`/`x_shape` describe the input (an arena slice — no `Tensor`
 /// allocation on the hot path); the result is written into `out`, which
@@ -391,7 +391,7 @@ pub fn conv2d_pattern_sparse_with(
 /// Same conditions as [`conv2d_pattern_sparse`], plus mismatched
 /// epilogue or output-buffer lengths.
 ///
-/// [`PatternPack`]: crate::pack::PatternPack
+/// [`KernelPack`]: crate::pack::KernelPack
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_pattern_sparse_into_with(
     x: &[f32],
@@ -416,62 +416,10 @@ pub fn conv2d_pattern_sparse_into_with(
     )?;
     debug_validate_pattern(layer);
     let pack = layer.pack();
-    // Legal layers have a uniform per-kernel tap count (RV001), so the
-    // arity dispatch hoists out of the tile walk entirely: every tile
-    // runs one monomorphized unrolled body with no per-kernel match.
-    match pack.uniform_arity() {
-        Some(1) => run_pattern_arity::<1>(x, g, bias, epilogue, out, exec.threads, pack),
-        Some(2) => run_pattern_arity::<2>(x, g, bias, epilogue, out, exec.threads, pack),
-        Some(3) => run_pattern_arity::<3>(x, g, bias, epilogue, out, exec.threads, pack),
-        Some(4) => run_pattern_arity::<4>(x, g, bias, epilogue, out, exec.threads, pack),
-        Some(5) => run_pattern_arity::<5>(x, g, bias, epilogue, out, exec.threads, pack),
-        _ => {
-            // Mixed or empty pack (corruption fixtures): per-kernel
-            // dispatch through the shared match.
-            let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
-            let c = g.c;
-            let ow = g.ow;
-            run_tiled_conv(x, g, out, exec.threads, |oc, tile, x_batch, out_plane| {
-                let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
-                for (ic, taps, vals) in pack.oc_kernels(oc) {
-                    if ic >= c {
-                        continue; // corrupt layer; RV011 rejects pre-flight
-                    }
-                    accum_kernel(&mut acc, &x_batch[ic * php..], tile, taps, vals);
-                }
-                writeback(out_plane, ow, tile, &acc, oc, epilogue);
-            });
-        }
-    }
-    Ok([g.n, g.o, g.oh, g.ow])
-}
-
-/// Pattern tile walk monomorphized on the layer's uniform tap arity
-/// `T`: the per-kernel loop body is a single unrolled `T`-tap
-/// accumulation, no arity match inside the walk. Same canonical order
-/// (and therefore bitwise output) as the generic path.
-fn run_pattern_arity<const T: usize>(
-    x: &[f32],
-    g: ConvGeom,
-    bias: Option<&[f32]>,
-    epilogue: &Epilogue<'_>,
-    out: &mut [f32],
-    threads: usize,
-    pack: &PatternPack,
-) {
-    let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
-    let c = g.c;
-    let ow = g.ow;
-    run_tiled_conv(x, g, out, threads, |oc, tile, x_batch, out_plane| {
-        let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
-        for (ic, taps, vals) in pack.oc_kernels(oc) {
-            if ic >= c {
-                continue; // corrupt layer; RV011 rejects pre-flight
-            }
-            accum_taps::<T>(&mut acc, &x_batch[ic * php..], tile, taps, vals);
-        }
-        writeback(out_plane, ow, tile, &acc, oc, epilogue);
+    run_tiled_conv(x, g, bias, epilogue, out, exec.threads, |oc| {
+        pack.oc_kernels(oc)
     });
+    Ok([g.n, g.o, g.oh, g.ow])
 }
 
 /// Scalar-reference twin of [`conv2d_pattern_sparse_into_with`]: same
@@ -595,11 +543,9 @@ pub fn conv2d_unstructured_with(
 
 /// Write-into-buffer variant of [`conv2d_unstructured_with`] with an
 /// [`Epilogue`] hook; the COO twin of
-/// [`conv2d_pattern_sparse_into_with`] (same buffer contract, same
-/// register-tiled walk) — but every `(oc, ic)` run goes through the
-/// arity-*generic* microkernel body: the run length is data-dependent,
-/// so there is no fixed-arity monomorphization to dispatch into. That
-/// is the irregular path the paper contrasts pattern grouping against.
+/// [`conv2d_pattern_sparse_into_with`] — same buffer contract, same
+/// register-tiled walk, over the COO layer's own pack (one offset
+/// slice per `(oc, ic)` run instead of one per pattern group).
 ///
 /// Returns the output shape `[n, out_channels, oh, ow]`.
 ///
@@ -641,20 +587,9 @@ pub fn conv2d_unstructured_into_with(
             "conv2d_unstructured on invalid layer: {violations:?}"
         );
     }
-    let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
-    let c = g.c;
-    let ow = g.ow;
     let pack = layer.pack();
-    run_tiled_conv(x, g, out, exec.threads, |oc, tile, x_batch, out_plane| {
-        let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
-        for (ic, taps, vals) in pack.oc_runs(oc) {
-            if ic >= c {
-                continue; // corrupt layer; RV013 rejects pre-flight
-            }
-            // Data-dependent arity: always the generic body.
-            accum_taps_dyn(&mut acc, &x_batch[ic * php..], tile, taps, vals);
-        }
-        writeback(out_plane, ow, tile, &acc, oc, epilogue);
+    run_tiled_conv(x, g, bias, epilogue, out, exec.threads, |oc| {
+        pack.oc_kernels(oc)
     });
     Ok([g.n, g.o, g.oh, g.ow])
 }
@@ -676,7 +611,7 @@ pub fn conv2d_dense(
 
 /// [`conv2d_dense`] with an explicit [`ExecConfig`].
 ///
-/// This is the autotuner's dense candidate, **not** a replacement for
+/// This is the benches' dense baseline, **not** a replacement for
 /// [`rtoss_tensor::ops::conv2d`]: it accumulates bias-first in the
 /// canonical `(ic, ky, kx)` tap order (zero taps included, which is
 /// bitwise inert — see the module docs), so its output is
@@ -723,12 +658,10 @@ fn check_dense_weight(w: &Tensor) -> Result<(usize, usize, usize), TensorError> 
     Ok((ws[0], ws[1], ws[2]))
 }
 
-/// Write-into-buffer dense conv in the canonical accumulation order —
-/// the execution plan's dense-format conv step (see
-/// [`conv2d_dense_with`] for why this exists alongside the im2col
-/// path). All `k×k` taps run through the same register-tiled walk as
-/// the sparse formats; for 3×3 kernels that is the monomorphized
-/// 9-tap body.
+/// Write-into-buffer dense conv in the canonical accumulation order
+/// (see [`conv2d_dense_with`] for why this exists alongside the im2col
+/// path). All `k×k` taps of every kernel run through the same
+/// register-tiled walk as the sparse formats.
 ///
 /// Returns the output shape `[n, out_channels, oh, ow]`.
 ///
@@ -768,15 +701,12 @@ pub fn conv2d_dense_into_with(
         .flat_map(|ky| (0..k as u8).map(move |kx| (ky, kx)))
         .collect();
     let wd = w.as_slice();
-    let php = padded_plane_len(g.h, g.w, g.pad, g.stride, g.k);
-    let ow = g.ow;
-    run_tiled_conv(x, g, out, exec.threads, |oc, tile, x_batch, out_plane| {
-        let mut acc = [[bias.map_or(0.0, |b| b[oc]); NR]; MR];
-        for ic in 0..c {
-            let vals = &wd[(oc * c + ic) * kk..(oc * c + ic + 1) * kk];
-            accum_kernel(&mut acc, &x_batch[ic * php..], tile, &full_taps, vals);
-        }
-        writeback(out_plane, ow, tile, &acc, oc, epilogue);
+    run_tiled_conv(x, g, bias, epilogue, out, exec.threads, |oc| {
+        let full_taps = &full_taps[..];
+        (0..c).map(move |ic| {
+            let at = (oc * c + ic) * kk;
+            (ic, full_taps, &wd[at..at + kk])
+        })
     });
     Ok([g.n, g.o, g.oh, g.ow])
 }

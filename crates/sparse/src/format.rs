@@ -1,6 +1,6 @@
 //! Compressed storage formats for pruned convolution weights.
 
-use crate::pack::{CooPack, PatternPack};
+use crate::pack::KernelPack;
 use rtoss_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -83,7 +83,7 @@ pub struct PatternCompressedConv {
     stored_weights: usize,
     /// Kernel-major execution layout, derived from `groups` at
     /// construction so no forward call pays the indexing cost.
-    pack: PatternPack,
+    pack: KernelPack,
 }
 
 impl PatternCompressedConv {
@@ -138,7 +138,7 @@ impl PatternCompressedConv {
             }
         }
         let groups: Vec<PatternGroup> = by_pattern.into_values().collect();
-        let pack = PatternPack::build(o, &groups);
+        let pack = KernelPack::from_groups(o, &groups);
         Ok(PatternCompressedConv {
             out_ch: o,
             in_ch: i,
@@ -224,7 +224,7 @@ impl PatternCompressedConv {
             .flat_map(|g| g.kernels.iter())
             .map(|(_, _, v)| v.len())
             .sum();
-        let pack = PatternPack::build(out_ch, &groups);
+        let pack = KernelPack::from_groups(out_ch, &groups);
         PatternCompressedConv {
             out_ch,
             in_ch,
@@ -241,7 +241,7 @@ impl PatternCompressedConv {
     /// The kernel-major execution pack derived from the groups at
     /// construction. RV090 proves it reconstructs `to_dense()`
     /// bit-exactly.
-    pub fn pack(&self) -> &PatternPack {
+    pub fn pack(&self) -> &KernelPack {
         &self.pack
     }
 
@@ -250,7 +250,7 @@ impl PatternCompressedConv {
     /// mutated pack no longer agrees with the groups it was derived
     /// from.
     #[doc(hidden)]
-    pub fn pack_mut(&mut self) -> &mut PatternPack {
+    pub fn pack_mut(&mut self) -> &mut KernelPack {
         &mut self.pack
     }
 
@@ -389,9 +389,9 @@ pub struct UnstructuredSparseConv {
     /// `(oc, ic, ky, kx, value)` for every surviving weight.
     entries: Vec<(usize, usize, usize, usize, f32)>,
     dense_weights: usize,
-    /// Per-output-channel run layout, derived from `entries` at
-    /// construction (see [`CooPack`]).
-    pack: CooPack,
+    /// Kernel-major execution pack, derived from `entries` at
+    /// construction (see [`KernelPack::from_coo`]).
+    pack: KernelPack,
 }
 
 impl UnstructuredSparseConv {
@@ -422,7 +422,7 @@ impl UnstructuredSparseConv {
                 }
             }
         }
-        let pack = CooPack::build(o, &entries);
+        let pack = KernelPack::from_coo(o, &entries);
         Ok(UnstructuredSparseConv {
             out_ch: o,
             in_ch: i,
@@ -476,7 +476,7 @@ impl UnstructuredSparseConv {
         pad: usize,
         entries: Vec<(usize, usize, usize, usize, f32)>,
     ) -> Self {
-        let pack = CooPack::build(out_ch, &entries);
+        let pack = KernelPack::from_coo(out_ch, &entries);
         UnstructuredSparseConv {
             out_ch,
             in_ch,
@@ -489,10 +489,10 @@ impl UnstructuredSparseConv {
         }
     }
 
-    /// The run-layout execution pack derived from the entries at
+    /// The kernel-major execution pack derived from the entries at
     /// construction. RV090 proves it reconstructs `to_dense()`
     /// bit-exactly.
-    pub fn pack(&self) -> &CooPack {
+    pub fn pack(&self) -> &KernelPack {
         &self.pack
     }
 
@@ -500,7 +500,7 @@ impl UnstructuredSparseConv {
     /// [`PatternCompressedConv::pack_mut`]. Never use outside
     /// tests/fixtures.
     #[doc(hidden)]
-    pub fn pack_mut(&mut self) -> &mut CooPack {
+    pub fn pack_mut(&mut self) -> &mut KernelPack {
         &mut self.pack
     }
 

@@ -9,11 +9,15 @@
 //!    unstructured sparsity, whose irregular gathers defeat caching.
 //!
 //! [`PatternCompressedConv`] stores a pruned layer grouped by pattern;
-//! [`exec::conv2d_pattern_sparse`] executes it; and
-//! [`exec::conv2d_unstructured`] executes the same weights through a
-//! per-weight COO path, reproducing the paper's argument that equal
-//! sparsity does *not* mean equal speed. `rtoss-bench`'s `conv_sparse`
-//! bench and the fig6 harness measure all three executors on this CPU.
+//! [`exec::conv2d_pattern_sparse`] executes it, and is the one conv
+//! kernel a compiled [`ExecutionPlan`] runs. [`exec::conv2d_unstructured`]
+//! executes the same weights from a per-weight COO layout — the
+//! paper's unstructured comparison. Both walk a [`KernelPack`] through
+//! the same register-tiled body, so on a CPU the COO path costs the
+//! same as the pattern path at equal non-zeros (kernel_bench and fig6
+//! measure this); the paper's equal-sparsity-is-not-equal-speed gap is
+//! a GPU/edge-accelerator effect that this executor does not
+//! reproduce.
 //!
 //! # Example
 //!
@@ -47,9 +51,6 @@ pub use format::{
     FormatViolation, PatternCompressedConv, PatternGroup, SparseFormatError, UnstructuredSparseConv,
 };
 pub use model::{SparseModel, SparseModelError};
-pub use pack::{coo_from_pattern, CooPack, PatternPack};
-pub use plan::{
-    AutotuneMode, ExecutionPlan, FormatChoice, LevelDeal, LevelSchedule, PlanOptions, PlanSummary,
-    StepSummary,
-};
+pub use pack::{coo_from_pattern, KernelPack};
+pub use plan::{ExecutionPlan, LevelDeal, LevelSchedule, PlanSummary, StepSummary};
 pub use rtoss_tensor::exec::ExecConfig;

@@ -126,7 +126,6 @@ impl SparseNode {
                 args.push(("oc", ArgValue::U64(layer.out_channels() as u64)));
                 args.push(("ic", ArgValue::U64(layer.in_channels() as u64)));
                 args.push(("k", ArgValue::U64(layer.kernel_size() as u64)));
-                args.push(("format", ArgValue::Static("pattern")));
                 args.push(("nnz", ArgValue::U64(layer.stored_weights() as u64)));
             }
             (format!("layer:{}", self.name), args)
@@ -168,10 +167,6 @@ pub struct SparseModel {
     stored_weights: usize,
     dense_weights: usize,
     exec: ExecConfig,
-    /// When true (the default), `forward*` compiles the input shape to a
-    /// cached [`ExecutionPlan`] and runs that; when false, the retained
-    /// per-call interpreter runs instead.
-    planning: bool,
     /// Compiled plans keyed by input shape. A batched forward with a new
     /// batch size plans once, then reuses the plan for every later call
     /// with that shape — the serving layer's micro-batch worker never
@@ -275,7 +270,6 @@ impl SparseModel {
             stored_weights: stored,
             dense_weights: dense,
             exec: ExecConfig::default(),
-            planning: true,
             plans: RwLock::new(HashMap::new()),
         })
     }
@@ -295,25 +289,6 @@ impl SparseModel {
     #[must_use]
     pub fn with_exec_config(mut self, exec: ExecConfig) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Whether `forward*` compiles-and-caches an [`ExecutionPlan`]
-    /// (true, the default) or runs the per-call interpreter.
-    pub fn planning(&self) -> bool {
-        self.planning
-    }
-
-    /// Enables or disables plan-compiled execution (`--no-plan` in the
-    /// benches sets this to false to A/B against the interpreter).
-    pub fn set_planning(&mut self, on: bool) {
-        self.planning = on;
-    }
-
-    /// Builder-style [`set_planning`](Self::set_planning).
-    #[must_use]
-    pub fn with_planning(mut self, on: bool) -> Self {
-        self.planning = on;
         self
     }
 
@@ -453,9 +428,10 @@ impl SparseModel {
     }
 
     /// [`forward`](Self::forward) with an explicit [`ExecConfig`],
-    /// overriding the engine's stored configuration for this call.
-    /// Results are bit-identical for every thread count, and the
-    /// plan-compiled path is bit-identical to the interpreter.
+    /// overriding the engine's stored configuration for this call: runs
+    /// the [`ExecutionPlan`] compiled (and cached) for the input's
+    /// shape. Results are bit-identical for every thread count, and to
+    /// the interpreter.
     ///
     /// # Errors
     ///
@@ -465,19 +441,16 @@ impl SparseModel {
         input: &Tensor,
         exec: &ExecConfig,
     ) -> Result<Vec<Tensor>, SparseModelError> {
-        if self.planning {
-            self.plan_for(input.shape())?.run(self, input, exec)
-        } else {
-            self.forward_interpreted_with(input, exec)
-        }
+        self.plan_for(input.shape())?.run(self, input, exec)
     }
 
     /// The per-call graph interpreter: walks the node list, computing
-    /// one freshly allocated tensor per node. Kept as the reference
-    /// semantics the compiled plan must match bit-for-bit, and as the
-    /// fallback behind `--no-plan`. Activations are dropped as soon as
-    /// their last consumer has run, so even the interpreter's peak
-    /// memory tracks liveness rather than the whole graph.
+    /// one freshly allocated tensor per node. Kept only as the
+    /// reference semantics the compiled plan must match bit-for-bit
+    /// (RV052 and the plan tests); `forward*` never runs it.
+    /// Activations are dropped as soon as their last consumer has run,
+    /// so even the interpreter's peak memory tracks liveness rather
+    /// than the whole graph.
     ///
     /// # Errors
     ///

@@ -1,19 +1,23 @@
-//! Kernel-major pack buffers for the sparse conv formats.
+//! The kernel-major pack every sparse conv executor walks.
 //!
-//! The pre-pack executors rebuilt a `Vec<Vec<…>>` per-output-channel
-//! index on *every* forward call. A pack is that index built once, at
-//! layer construction (load/plan time), laid out kernel-major in flat
-//! contiguous arrays: per output channel a half-open range of pack
-//! entries, each entry naming its input channel, its tap-offset slice,
-//! and its value slice. The executors then just walk slices — no
+//! A pack is a layer's per-output-channel kernel index, built once at
+//! layer construction (load/plan time) and laid out kernel-major in
+//! flat contiguous arrays: per output channel a half-open range of
+//! pack entries, each entry naming its input channel, its tap-offset
+//! slice, and its value slice. The executors walk slices — no
 //! per-call allocation, no pointer-chasing through nested `Vec`s.
 //!
+//! One pack type serves both sparse formats. A pattern-compressed
+//! layer's builder stores each pattern group's offsets once and lets
+//! every member kernel share that slice; a COO layer's builder writes
+//! each `(oc, ic)` run's own offsets. The executors cannot tell the
+//! two apart: both are runtime tap lists.
+//!
 //! The pack fixes the **canonical accumulation order** every executor
-//! (scalar reference, pattern-tiled, COO, dense) follows: per output
-//! element the chain is `bias`, then taps in ascending `(ic, ky, kx)`
-//! order. Sharing one order is what makes cross-format bit-identity
-//! (RV092) achievable at all — f32 addition does not commute in
-//! rounding.
+//! (scalar reference, tiled, dense) follows: per output element the
+//! chain is `bias`, then taps in ascending `(ic, ky, kx)` order.
+//! Sharing one order is what makes the executors bit-identical to one
+//! another (RV092) — f32 addition does not commute in rounding.
 //!
 //! Packs are *derived* data: bit-exact reconstruction against the
 //! owning format's `to_dense()` is checked by RV090, and the builders
@@ -24,50 +28,50 @@
 use crate::format::{PatternGroup, UnstructuredSparseConv};
 use rtoss_tensor::Tensor;
 
-/// One pattern-pack entry: a single surviving kernel of one `(oc, ic)`
-/// pair, pointing at its shared offset slice and its packed values.
+/// One pack entry: the surviving taps of one `(oc, ic)` kernel,
+/// pointing at its offset slice and its value slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackEntry {
+struct PackEntry {
     /// Input channel the kernel reads.
-    pub ic: u32,
+    ic: u32,
     /// Tap count (length of both slices below).
-    pub taps: u32,
-    /// Start of the tap offsets in [`PatternPack::offsets`].
-    pub off: u32,
-    /// Start of the tap values in [`PatternPack::values`].
-    pub val: u32,
+    taps: u32,
+    /// Start of the tap offsets in the pack's offset array.
+    off: u32,
+    /// Start of the tap values in the pack's value array.
+    val: u32,
 }
 
-/// Flat kernel-major layout of a pattern-compressed layer.
+/// Flat kernel-major layout of a sparse conv layer.
 ///
-/// Built once by [`crate::format::PatternCompressedConv`]; per output
-/// channel the entries are sorted by ascending input channel (the
-/// canonical order), each sharing its group's offset slice and owning
-/// a contiguous value slice.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PatternPack {
+/// Per output channel the entries are in canonical order (ascending
+/// input channel, taps row-major within a kernel).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KernelPack {
     /// Per output channel, the half-open `[start, end)` range into
     /// `entries`.
     oc_ranges: Vec<(u32, u32)>,
     entries: Vec<PackEntry>,
-    /// Concatenated per-group tap offsets as `(ky, kx)`, stored once
-    /// per group and shared by every member kernel.
+    /// Tap offsets as `(ky, kx)`: one slice per pattern group (shared
+    /// by its member kernels) or one per COO run.
     offsets: Vec<(u8, u8)>,
     /// Kernel-major concatenated tap values.
     values: Vec<f32>,
-    /// `Some(t)` iff every packed kernel has exactly `t` taps — true
-    /// for legal R-TOSS layers (RV001: uniform entry count per layer).
-    /// Lets the executor hoist the arity dispatch out of the tile walk.
-    uniform: Option<u32>,
 }
 
-impl PatternPack {
-    /// Builds the pack from pattern groups. Total: entries whose
-    /// output channel is out of range are dropped (corruption-fixture
-    /// layers), and offsets wider than `u8` are saturated — execution
-    /// clips every tap anyway, and `validate()`/RV010 reject such
-    /// layers before they are ever run.
-    pub fn build(out_ch: usize, groups: &[PatternGroup]) -> Self {
+/// Packs a tap coordinate, saturating offsets wider than `u8` —
+/// execution clips every tap anyway, and `validate()`/RV010 reject
+/// such layers before they are ever run.
+fn tap(ky: usize, kx: usize) -> (u8, u8) {
+    (ky.min(255) as u8, kx.min(255) as u8)
+}
+
+impl KernelPack {
+    /// Builds the pack from pattern groups: each group's offsets are
+    /// stored once and shared by every member kernel. Total: entries
+    /// whose output channel is out of range are dropped
+    /// (corruption-fixture layers).
+    pub fn from_groups(out_ch: usize, groups: &[PatternGroup]) -> Self {
         // Pass 1: store each group's offsets once and stage every
         // kernel under its output channel.
         // (ic, taps, offset-table start, borrowed kernel values)
@@ -76,53 +80,66 @@ impl PatternPack {
         let mut staged: Vec<Vec<Staged>> = vec![Vec::new(); out_ch];
         for g in groups {
             let off = offsets.len() as u32;
-            offsets.extend(
-                g.offsets
-                    .iter()
-                    .map(|&(ky, kx)| (ky.min(255) as u8, kx.min(255) as u8)),
-            );
+            offsets.extend(g.offsets.iter().map(|&(ky, kx)| tap(ky, kx)));
             for (oc, ic, values) in &g.kernels {
-                if *oc >= out_ch {
+                let Some(list) = staged.get_mut(*oc) else {
                     continue;
-                }
+                };
                 let taps = (g.offsets.len() as u32).min(values.len() as u32);
-                staged[*oc].push((*ic as u32, taps, off, values.as_slice()));
+                list.push((*ic as u32, taps, off, values.as_slice()));
             }
         }
         // Pass 2: canonical (ic-ascending, stable) order per oc, then
         // lay values down kernel-major in that final order.
-        let mut oc_ranges = Vec::with_capacity(out_ch);
-        let mut entries = Vec::new();
-        let mut values = Vec::new();
+        let mut pack = KernelPack {
+            offsets,
+            ..KernelPack::default()
+        };
         for ocs in &mut staged {
             ocs.sort_by_key(|&(ic, _, _, _)| ic); // stable: ties keep group order
-            let start = entries.len() as u32;
+            let start = pack.entries.len() as u32;
             for &(ic, taps, off, vals) in ocs.iter() {
-                let val = values.len() as u32;
-                values.extend_from_slice(&vals[..taps as usize]);
-                entries.push(PackEntry { ic, taps, off, val });
+                let val = pack.values.len() as u32;
+                pack.values.extend_from_slice(&vals[..taps as usize]);
+                pack.entries.push(PackEntry { ic, taps, off, val });
             }
-            oc_ranges.push((start, entries.len() as u32));
+            pack.oc_ranges.push((start, pack.entries.len() as u32));
         }
-        let uniform = entries
-            .first()
-            .map(|e| e.taps)
-            .filter(|&t| entries.iter().all(|e| e.taps == t));
-        PatternPack {
-            oc_ranges,
-            entries,
-            offsets,
-            values,
-            uniform,
-        }
+        pack
     }
 
-    /// `Some(arity)` iff every packed kernel stores exactly `arity`
-    /// taps (uniform entry count, the RV001 invariant); `None` for an
-    /// empty or mixed-arity pack.
-    #[inline]
-    pub fn uniform_arity(&self) -> Option<usize> {
-        self.uniform.map(|t| t as usize)
+    /// Builds the pack from COO entries in their stored order (the
+    /// RV013 invariant makes that the canonical `(oc, ic, ky, kx)`
+    /// order for valid layers). Consecutive entries of one `(oc, ic)`
+    /// pair merge into one pack entry with its own offsets. Total:
+    /// out-of-range output channels are dropped.
+    pub fn from_coo(out_ch: usize, entries: &[(usize, usize, usize, usize, f32)]) -> Self {
+        let mut per_oc: Vec<Vec<(usize, usize, usize, f32)>> = vec![Vec::new(); out_ch];
+        for &(oc, ic, ky, kx, v) in entries {
+            if let Some(list) = per_oc.get_mut(oc) {
+                list.push((ic, ky, kx, v));
+            }
+        }
+        let mut pack = KernelPack::default();
+        for list in &per_oc {
+            let start = pack.entries.len() as u32;
+            for &(ic, ky, kx, v) in list {
+                let open = pack.entries.len() as u32 > start;
+                match pack.entries.last_mut() {
+                    Some(e) if open && e.ic as usize == ic => e.taps += 1,
+                    _ => pack.entries.push(PackEntry {
+                        ic: ic as u32,
+                        taps: 1,
+                        off: pack.offsets.len() as u32,
+                        val: pack.values.len() as u32,
+                    }),
+                }
+                pack.offsets.push(tap(ky, kx));
+                pack.values.push(v);
+            }
+            pack.oc_ranges.push((start, pack.entries.len() as u32));
+        }
+        pack
     }
 
     /// Iterates one output channel's kernels in canonical order as
@@ -182,129 +199,9 @@ impl PatternPack {
     }
 }
 
-/// One COO-pack run: consecutive entries of a single `(oc, ic)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CooRun {
-    /// Input channel the run reads.
-    pub ic: u32,
-    /// Start of the run's taps in the pack's tap/value arrays.
-    pub start: u32,
-    /// One past the run's last tap.
-    pub end: u32,
-}
-
-/// Flat layout of an unstructured (COO) layer: per output channel a
-/// range of `(oc, ic)` runs, each an arbitrary-arity tap list.
-///
-/// Unlike [`PatternPack`] the run arity is data-dependent, so the
-/// executor dispatches through the arity-generic microkernel — that
-/// (plus no shared offset slices) is the irregularity penalty the
-/// paper attributes to unstructured sparsity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CooPack {
-    oc_ranges: Vec<(u32, u32)>,
-    runs: Vec<CooRun>,
-    taps: Vec<(u8, u8)>,
-    vals: Vec<f32>,
-}
-
-impl CooPack {
-    /// Builds the pack from COO entries in their stored order (the
-    /// RV013 invariant makes that the canonical `(oc, ic, ky, kx)`
-    /// order for valid layers). Total: out-of-range output channels
-    /// are dropped.
-    pub fn build(out_ch: usize, entries: &[(usize, usize, usize, usize, f32)]) -> Self {
-        let mut per_oc: Vec<Vec<(usize, usize, usize, f32)>> = vec![Vec::new(); out_ch];
-        for &(oc, ic, ky, kx, v) in entries {
-            if oc < out_ch {
-                per_oc[oc].push((ic, ky, kx, v));
-            }
-        }
-        let mut oc_ranges = Vec::with_capacity(out_ch);
-        let mut runs: Vec<CooRun> = Vec::new();
-        let mut taps = Vec::new();
-        let mut vals = Vec::new();
-        for ocs in &per_oc {
-            let start = runs.len() as u32;
-            for &(ic, ky, kx, v) in ocs {
-                let tap = (ky.min(255) as u8, kx.min(255) as u8);
-                let extend = runs.len() as u32 > start
-                    && runs
-                        .last()
-                        .is_some_and(|r| r.ic as usize == ic && r.end as usize == taps.len());
-                if extend {
-                    if let Some(run) = runs.last_mut() {
-                        run.end += 1;
-                    }
-                } else {
-                    runs.push(CooRun {
-                        ic: ic as u32,
-                        start: taps.len() as u32,
-                        end: taps.len() as u32 + 1,
-                    });
-                }
-                taps.push(tap);
-                vals.push(v);
-            }
-            oc_ranges.push((start, runs.len() as u32));
-        }
-        CooPack {
-            oc_ranges,
-            runs,
-            taps,
-            vals,
-        }
-    }
-
-    /// Iterates one output channel's runs as `(ic, taps, vals)`.
-    #[inline]
-    pub fn oc_runs(&self, oc: usize) -> impl Iterator<Item = (usize, &[(u8, u8)], &[f32])> + '_ {
-        let (start, end) = self.oc_ranges.get(oc).copied().unwrap_or((0, 0));
-        self.runs[start as usize..end as usize].iter().map(|r| {
-            (
-                r.ic as usize,
-                &self.taps[r.start as usize..r.end as usize],
-                &self.vals[r.start as usize..r.end as usize],
-            )
-        })
-    }
-
-    /// Total packed tap count.
-    pub fn tap_count(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// Reconstructs the dense weight tensor from the pack alone (the
-    /// COO side of RV090). Out-of-bounds coordinates are skipped.
-    pub fn to_dense(&self, out_ch: usize, in_ch: usize, kernel: usize) -> Tensor {
-        let mut w = Tensor::zeros(&[out_ch, in_ch, kernel, kernel]);
-        let wd = w.as_mut_slice();
-        for oc in 0..out_ch {
-            for (ic, taps, vals) in self.oc_runs(oc) {
-                if ic >= in_ch {
-                    continue;
-                }
-                for (&(ky, kx), &v) in taps.iter().zip(vals) {
-                    let (ky, kx) = (ky as usize, kx as usize);
-                    if ky < kernel && kx < kernel {
-                        wd[((oc * in_ch + ic) * kernel + ky) * kernel + kx] = v;
-                    }
-                }
-            }
-        }
-        w
-    }
-
-    /// Mutable access to the packed values — the COO twin of
-    /// [`PatternPack::values_mut`]. Never use outside tests/fixtures.
-    #[doc(hidden)]
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.vals
-    }
-}
-
 /// Derives the COO form of a pattern-compressed layer in canonical
-/// `(oc, ic, ky, kx)` order — the autotuner's COO candidate.
+/// `(oc, ic, ky, kx)` order — the unstructured baseline the benches and
+/// RV092 run the same weights through.
 pub fn coo_from_pattern(layer: &crate::format::PatternCompressedConv) -> UnstructuredSparseConv {
     let mut entries = Vec::with_capacity(layer.stored_weights());
     for g in layer.groups() {
@@ -368,11 +265,11 @@ mod tests {
     fn coo_pack_reconstructs_dense_bitwise_and_runs_are_grouped() {
         let w = pruned(2, 48);
         let un = crate::format::UnstructuredSparseConv::from_dense(&w, 1, 1).unwrap();
-        let pack = CooPack::build(8, un.entries());
+        let pack = KernelPack::from_coo(8, un.entries());
         assert_eq!(pack.to_dense(8, 4, 3).as_slice(), w.as_slice());
-        assert_eq!(pack.tap_count(), un.entries().len());
+        assert_eq!(pack.value_count(), un.entries().len());
         for oc in 0..8 {
-            let ics: Vec<usize> = pack.oc_runs(oc).map(|(ic, _, _)| ic).collect();
+            let ics: Vec<usize> = pack.oc_kernels(oc).map(|(ic, _, _)| ic).collect();
             // Valid layers are (oc, ic, …)-sorted, so runs merge: each
             // ic appears in at most one run per oc.
             let mut dedup = ics.clone();
@@ -387,11 +284,11 @@ mod tests {
             offsets: vec![(9, 0), (300, 300)],
             kernels: vec![(99, 7, vec![1.0, 2.0]), (0, 99, vec![3.0, 4.0])],
         }];
-        let pack = PatternPack::build(2, &groups);
+        let pack = KernelPack::from_groups(2, &groups);
         assert_eq!(pack.kernel_count(), 1); // oc 99 dropped
         let _ = pack.to_dense(2, 1, 3); // out-of-range ic/taps skipped
-        let coo = CooPack::build(2, &[(5, 0, 0, 0, 1.0), (0, 9, 400, 0, 2.0)]);
-        assert_eq!(coo.tap_count(), 1);
+        let coo = KernelPack::from_coo(2, &[(5, 0, 0, 0, 1.0), (0, 9, 400, 0, 2.0)]);
+        assert_eq!(coo.value_count(), 1);
         let _ = coo.to_dense(2, 1, 3);
     }
 

@@ -55,13 +55,8 @@
 //! assignment, the level structure, and that equivalence on seeded
 //! engines.
 
-use crate::exec::{
-    conv2d_dense_into_with, conv2d_pattern_sparse_into_with, conv2d_unstructured_into_with,
-    conv_output_shape,
-};
-use crate::format::{PatternCompressedConv, UnstructuredSparseConv};
+use crate::exec::{conv2d_pattern_sparse_into_with, conv_output_shape};
 use crate::model::{epilogue_act, eval_act, SparseModel, SparseModelError, SparseNode, SparseOp};
-use crate::pack::coo_from_pattern;
 use rtoss_nn::layers::ActivationKind;
 use rtoss_tensor::exec::{Epilogue, ExecConfig};
 use rtoss_tensor::ops::out_extent;
@@ -83,122 +78,6 @@ const POOL_CAP: usize = 8;
 /// locks cost an uncontended atomic each and exist to keep the crate
 /// free of `unsafe`.
 type Arena = Vec<RwLock<Vec<f32>>>;
-
-/// Which conv kernel the plan selected for one layer — the autotuner's
-/// per-layer format decision, resolved at compile time. The COO and
-/// dense candidates carry their derived weights so the hot path pays
-/// no conversion; all three compute bit-identical outputs (the
-/// canonical accumulation order — see `crate::exec`), so the choice is
-/// purely a speed decision.
-#[derive(Debug)]
-enum ConvKernel {
-    /// Pattern-tiled microkernels over the layer's own pack (default).
-    Pattern,
-    /// Arity-generic COO runs over weights derived from the layer.
-    Coo(UnstructuredSparseConv),
-    /// All-taps dense walk over the reconstructed dense weights.
-    Dense(Tensor),
-}
-
-impl ConvKernel {
-    fn label(&self) -> &'static str {
-        match self {
-            ConvKernel::Pattern => "pattern",
-            ConvKernel::Coo(_) => "coo",
-            ConvKernel::Dense(_) => "dense",
-        }
-    }
-}
-
-/// How [`ExecutionPlan::compile_with`] picks each conv layer's format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatChoice {
-    /// Let the autotuner decide per layer (heuristic or timed).
-    Auto,
-    /// Force the pattern-tiled kernel everywhere.
-    Pattern,
-    /// Force the COO kernel everywhere.
-    Coo,
-    /// Force the dense kernel everywhere.
-    Dense,
-}
-
-/// Autotune strategy used when the format choice is [`FormatChoice::Auto`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AutotuneMode {
-    /// Deterministic density heuristic — no timing, identical plans on
-    /// every host (the CI/default mode): dense when the layer kept
-    /// more than [`DENSE_DENSITY_THRESHOLD`] of its weights, else
-    /// pattern.
-    Heuristic,
-    /// Min-of-`reps` wall-clock microbenchmark of every candidate on
-    /// the layer's real compile shape; the measured ns land in
-    /// [`StepSummary::autotune_ns`].
-    Timed {
-        /// Repetitions per candidate (min is taken; clamped to ≥ 1).
-        reps: u32,
-    },
-}
-
-/// Weight density above which the deterministic heuristic picks the
-/// dense kernel: past roughly two thirds the per-kernel dispatch and
-/// offset indirection of the sparse walk cost more than the `0.0`
-/// multiplies they skip (the fig6 crossover, measured by
-/// `kernel_bench`).
-pub const DENSE_DENSITY_THRESHOLD: f64 = 0.66;
-
-/// Plan-compile options: per-layer conv format selection.
-///
-/// The default is read from the environment —
-/// `RTOSS_FORMAT={auto,pattern,coo,dense}` (default `auto`) and
-/// `RTOSS_AUTOTUNE={off,time[,time:REPS]}` (default `off`, i.e. the
-/// deterministic heuristic) — so CI and tests stay reproducible unless
-/// timing is asked for explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanOptions {
-    /// Conv format selection policy.
-    pub format: FormatChoice,
-    /// Autotune strategy when `format` is [`FormatChoice::Auto`].
-    pub autotune: AutotuneMode,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            format: FormatChoice::Auto,
-            autotune: AutotuneMode::Heuristic,
-        }
-    }
-}
-
-impl PlanOptions {
-    /// Resolves the options from `RTOSS_FORMAT` / `RTOSS_AUTOTUNE`;
-    /// unknown values fall back to the defaults.
-    pub fn from_env() -> Self {
-        let format = match std::env::var("RTOSS_FORMAT")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "pattern" => FormatChoice::Pattern,
-            "coo" => FormatChoice::Coo,
-            "dense" => FormatChoice::Dense,
-            _ => FormatChoice::Auto,
-        };
-        let autotune = match std::env::var("RTOSS_AUTOTUNE")
-            .unwrap_or_default()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "time" | "1" | "on" => AutotuneMode::Timed { reps: 3 },
-            s if s.starts_with("time:") => AutotuneMode::Timed {
-                reps: s["time:".len()..].parse().unwrap_or(3),
-            },
-            _ => AutotuneMode::Heuristic,
-        };
-        PlanOptions { format, autotune }
-    }
-}
 
 /// Where a plan step reads one of its operands from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,12 +113,6 @@ struct PlanStep {
     /// level; extern-only steps sit at level 0. Steps sharing a level
     /// are mutually independent and may execute concurrently.
     level: usize,
-    /// The conv kernel the autotuner selected for this step; `None`
-    /// for non-conv steps.
-    kernel: Option<ConvKernel>,
-    /// Autotune evidence: `(candidate, min-of-reps ns)` per measured
-    /// candidate. Empty when the choice was heuristic or forced.
-    autotune_ns: Vec<(&'static str, u64)>,
 }
 
 impl PlanStep {
@@ -250,11 +123,6 @@ impl PlanStep {
             (None, Some(_)) => "act",
             (None, None) => "none",
         }
-    }
-
-    /// The selected conv format label; `-` for non-conv steps.
-    fn format_label(&self) -> &'static str {
-        self.kernel.as_ref().map_or("-", ConvKernel::label)
     }
 }
 
@@ -283,14 +151,9 @@ pub struct StepSummary {
     /// than every step operand's level, so the levelled schedule the
     /// parallel runner executes respects all data dependencies (RV054).
     pub level: usize,
-    /// Conv kernel format the autotuner selected (`pattern`, `coo`,
-    /// `dense`); `-` for non-conv steps. RV091 checks legality.
+    /// Conv kernel the step runs: `pattern` (the layer's own
+    /// kernel-major pack) on every conv step, `-` on the others.
     pub format: &'static str,
-    /// Autotune evidence: `(candidate, min-of-reps ns)` for every
-    /// measured candidate; empty when the choice was heuristic or
-    /// forced. When present, RV091 requires `format` to be the
-    /// measured minimum.
-    pub autotune_ns: Vec<(&'static str, u64)>,
 }
 
 /// Summary of a compiled plan: the schedule, arena assignment, and
@@ -453,21 +316,6 @@ impl ExecutionPlan {
     /// input shape — the same conditions the interpreter would hit per
     /// call, surfaced once at plan time.
     pub fn compile(model: &SparseModel, input_shape: &[usize]) -> Result<Self, SparseModelError> {
-        Self::compile_with(model, input_shape, &PlanOptions::from_env())
-    }
-
-    /// [`compile`](Self::compile) with explicit [`PlanOptions`] —
-    /// benches and the verifier force specific conv formats or timed
-    /// autotuning through this entry instead of the environment.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`compile`](Self::compile).
-    pub fn compile_with(
-        model: &SparseModel,
-        input_shape: &[usize],
-        opts: &PlanOptions,
-    ) -> Result<Self, SparseModelError> {
         let nodes = &model.nodes;
         let n = nodes.len();
         let shapes = infer_shapes(nodes, input_shape)?;
@@ -560,23 +408,6 @@ impl ExecutionPlan {
             let out_shape = shapes[tail].clone();
             let out_len = out_shape.iter().product();
             let s = steps.len();
-            // Per-layer format selection (conv steps only): the
-            // autotuner sees the layer's *real* compile-time input
-            // shape, so the decision reflects the work this step will
-            // actually do.
-            let (kernel, autotune_ns) = match &node.op {
-                SparseOp::Conv { layer, bias } => {
-                    let in_shape = node
-                        .inputs
-                        .first()
-                        .and_then(|&j| shapes.get(j))
-                        .filter(|sh| !sh.is_empty())
-                        .ok_or_else(|| plan_err(format!("conv node {i} has no input shape")))?;
-                    let (k, ns) = choose_conv_kernel(layer, bias, in_shape, opts);
-                    (Some(k), ns)
-                }
-                _ => (None, Vec::new()),
-            };
             steps.push(PlanStep {
                 node: i,
                 fused_affine,
@@ -587,8 +418,6 @@ impl ExecutionPlan {
                 out_len,
                 last_use: s,
                 level: 0,
-                kernel,
-                autotune_ns,
             });
             node_to_step[i] = Some(s);
             // Consumers of an absorbed chain's tail read the conv step.
@@ -760,60 +589,42 @@ impl ExecutionPlan {
         self.retained_bytes
     }
 
-    /// The plan's schedule, arena assignment, and memory accounting.
-    pub fn summary(&self) -> PlanSummary {
+    /// The plan's schedule, arena assignment, and memory accounting,
+    /// with step names and kinds resolved from `model`, the engine the
+    /// plan was compiled from.
+    pub fn summary_for(&self, model: &SparseModel) -> PlanSummary {
+        let source = |src: &StepSource| match src {
+            StepSource::Extern => None,
+            StepSource::Step(i) => Some(*i),
+        };
         PlanSummary {
             input_shape: self.input_shape.clone(),
             steps: self
                 .steps
                 .iter()
-                .map(|s| StepSummary {
-                    node: s.node,
-                    name: String::new(),
-                    kind: "",
-                    fused: s.fused_label(),
-                    inputs: s
-                        .inputs
-                        .iter()
-                        .map(|src| match src {
-                            StepSource::Extern => None,
-                            StepSource::Step(i) => Some(*i),
-                        })
-                        .collect(),
-                    out_slot: s.out_slot,
-                    out_len: s.out_len,
-                    last_use: s.last_use,
-                    level: s.level,
-                    format: s.format_label(),
-                    autotune_ns: s.autotune_ns.clone(),
+                .map(|s| {
+                    let node = model.nodes.get(s.node);
+                    let kind = node.map_or("", SparseNode::kind);
+                    StepSummary {
+                        node: s.node,
+                        name: node.map(|n| n.name.clone()).unwrap_or_default(),
+                        kind,
+                        fused: s.fused_label(),
+                        inputs: s.inputs.iter().map(source).collect(),
+                        out_slot: s.out_slot,
+                        out_len: s.out_len,
+                        last_use: s.last_use,
+                        level: s.level,
+                        format: if kind == "conv" { "pattern" } else { "-" },
+                    }
                 })
                 .collect(),
-            outputs: self
-                .outputs
-                .iter()
-                .map(|src| match src {
-                    StepSource::Extern => None,
-                    StepSource::Step(i) => Some(*i),
-                })
-                .collect(),
+            outputs: self.outputs.iter().map(source).collect(),
             slot_caps: self.slot_caps.clone(),
             arena_bytes: self.arena_bytes(),
             peak_live_bytes: self.peak_live_bytes,
             retained_bytes: self.retained_bytes,
         }
-    }
-
-    /// Like [`summary`](Self::summary) but with step names and kinds
-    /// resolved from the model the plan was compiled from.
-    pub fn summary_for(&self, model: &SparseModel) -> PlanSummary {
-        let mut s = self.summary();
-        for step in &mut s.steps {
-            if let Some(node) = model.nodes.get(step.node) {
-                step.name = node.name.clone();
-                step.kind = node.kind();
-            }
-        }
-        s
     }
 
     /// Executes the plan. `model` must be the engine this plan was
@@ -1146,30 +957,7 @@ fn exec_step(
                 affine,
                 act: step.fused_act.and_then(epilogue_act),
             };
-            // Dispatch on the autotuned per-layer format. All three
-            // kernels share the canonical accumulation order, so this
-            // choice never changes an output bit (RV092).
-            match &step.kernel {
-                Some(ConvKernel::Coo(un)) => {
-                    conv2d_unstructured_into_with(x, xs, un, Some(bias), &epi, out, exec)?;
-                }
-                Some(ConvKernel::Dense(w)) => {
-                    conv2d_dense_into_with(
-                        x,
-                        xs,
-                        w,
-                        layer.stride(),
-                        layer.padding(),
-                        Some(bias),
-                        &epi,
-                        out,
-                        exec,
-                    )?;
-                }
-                _ => {
-                    conv2d_pattern_sparse_into_with(x, xs, layer, Some(bias), &epi, out, exec)?;
-                }
-            }
+            conv2d_pattern_sparse_into_with(x, xs, layer, Some(bias), &epi, out, exec)?;
         }
         SparseOp::ChannelAffine { scale, shift } => {
             let (x, xs) = src(0)?;
@@ -1209,149 +997,6 @@ fn exec_step(
         }
     }
     Ok(())
-}
-
-/// Resolves one conv step's kernel format per the plan options: forced
-/// choices convert immediately; `Auto` runs the deterministic density
-/// heuristic or the timed microbenchmark. Returns the kernel plus the
-/// autotune evidence (empty unless timed).
-fn choose_conv_kernel(
-    layer: &PatternCompressedConv,
-    bias: &[f32],
-    in_shape: &[usize],
-    opts: &PlanOptions,
-) -> (ConvKernel, Vec<(&'static str, u64)>) {
-    match opts.format {
-        FormatChoice::Pattern => (ConvKernel::Pattern, Vec::new()),
-        FormatChoice::Coo => (ConvKernel::Coo(coo_from_pattern(layer)), Vec::new()),
-        FormatChoice::Dense => (ConvKernel::Dense(layer.to_dense()), Vec::new()),
-        FormatChoice::Auto => match opts.autotune {
-            AutotuneMode::Heuristic => {
-                let dense_w = (layer.out_channels()
-                    * layer.in_channels()
-                    * layer.kernel_size()
-                    * layer.kernel_size()) as f64;
-                let density = if dense_w == 0.0 {
-                    0.0
-                } else {
-                    layer.stored_weights() as f64 / dense_w
-                };
-                if density > DENSE_DENSITY_THRESHOLD {
-                    (ConvKernel::Dense(layer.to_dense()), Vec::new())
-                } else {
-                    // COO is never the heuristic pick: at equal nnz it
-                    // does strictly more dispatch work than pattern.
-                    // Only a measurement can justify it.
-                    (ConvKernel::Pattern, Vec::new())
-                }
-            }
-            AutotuneMode::Timed { reps } => autotune_timed(layer, bias, in_shape, reps),
-        },
-    }
-}
-
-/// Times every candidate kernel on the layer's real compile shape
-/// (min-of-`reps`, serial, deterministic probe data) and returns the
-/// fastest plus all measurements. Ties break toward the earlier
-/// candidate in `pattern, coo, dense` order; any executor error falls
-/// back to the pattern kernel with no evidence.
-fn autotune_timed(
-    layer: &PatternCompressedConv,
-    bias: &[f32],
-    in_shape: &[usize],
-    reps: u32,
-) -> (ConvKernel, Vec<(&'static str, u64)>) {
-    let out_shape = match conv_output_shape(
-        in_shape,
-        layer.in_channels(),
-        layer.out_channels(),
-        layer.kernel_size(),
-        layer.stride(),
-        layer.padding(),
-        "autotune",
-    ) {
-        Ok(s) => s,
-        Err(_) => return (ConvKernel::Pattern, Vec::new()),
-    };
-    // Deterministic probe data — the values cannot affect the timing,
-    // only the shape does, so the probe needs no RNG plumbing.
-    let x: Vec<f32> = (0..in_shape.iter().product::<usize>())
-        .map(|i| ((i % 31) as f32) * 0.0625 - 0.9)
-        .collect();
-    let mut out = vec![0.0f32; out_shape.iter().product()];
-    let exec = ExecConfig::serial();
-    let coo = coo_from_pattern(layer);
-    let dense = layer.to_dense();
-    let reps = reps.max(1);
-    let mut results: Vec<(&'static str, u64)> = Vec::with_capacity(3);
-    let mut failed = false;
-    {
-        let mut measure = |label: &'static str, run: &mut dyn FnMut(&mut [f32]) -> bool| {
-            let mut best = u64::MAX;
-            for _ in 0..reps {
-                let t0 = std::time::Instant::now();
-                if !run(&mut out) {
-                    failed = true;
-                    return;
-                }
-                best = best.min(t0.elapsed().as_nanos() as u64);
-            }
-            results.push((label, best));
-        };
-        measure("pattern", &mut |out| {
-            conv2d_pattern_sparse_into_with(
-                &x,
-                in_shape,
-                layer,
-                Some(bias),
-                &Epilogue::NONE,
-                out,
-                &exec,
-            )
-            .is_ok()
-        });
-        measure("coo", &mut |out| {
-            conv2d_unstructured_into_with(
-                &x,
-                in_shape,
-                &coo,
-                Some(bias),
-                &Epilogue::NONE,
-                out,
-                &exec,
-            )
-            .is_ok()
-        });
-        measure("dense", &mut |out| {
-            conv2d_dense_into_with(
-                &x,
-                in_shape,
-                &dense,
-                layer.stride(),
-                layer.padding(),
-                Some(bias),
-                &Epilogue::NONE,
-                out,
-                &exec,
-            )
-            .is_ok()
-        });
-    }
-    if failed || results.len() != 3 {
-        return (ConvKernel::Pattern, Vec::new());
-    }
-    let mut best = 0;
-    for (i, &(_, ns)) in results.iter().enumerate() {
-        if ns < results[best].1 {
-            best = i;
-        }
-    }
-    let kernel = match results[best].0 {
-        "coo" => ConvKernel::Coo(coo),
-        "dense" => ConvKernel::Dense(dense),
-        _ => ConvKernel::Pattern,
-    };
-    (kernel, results)
 }
 
 /// Best-fit free-slot lookup among slots whose previous tenant's last
@@ -1610,7 +1255,6 @@ fn step_span(step: &PlanStep, node: &SparseNode, exec: &ExecConfig) -> rtoss_obs
             args.push(("oc", ArgValue::U64(layer.out_channels() as u64)));
             args.push(("ic", ArgValue::U64(layer.in_channels() as u64)));
             args.push(("k", ArgValue::U64(layer.kernel_size() as u64)));
-            args.push(("format", ArgValue::Static(step.format_label())));
             args.push(("nnz", ArgValue::U64(layer.stored_weights() as u64)));
         }
         (format!("layer:{}", node.name), args)
@@ -1850,11 +1494,11 @@ mod tests {
         RTossPruner::new(EntryPattern::Three)
             .prune_graph(&mut m.graph)
             .unwrap();
-        let engine = SparseModel::compile(&m.graph).unwrap().with_planning(false);
-        assert!(!engine.planning());
+        let engine = SparseModel::compile(&m.graph).unwrap();
         let probe = init::uniform(&mut init::rng(62), &[1, 3, 32, 32], 0.0, 1.0);
-        let one = engine.forward(&probe).unwrap();
-        let two = engine.forward(&probe).unwrap();
+        let serial = ExecConfig::serial();
+        let one = engine.forward_interpreted_with(&probe, &serial).unwrap();
+        let two = engine.forward_interpreted_with(&probe, &serial).unwrap();
         assert!(!one.is_empty());
         assert_eq!(one.len(), two.len());
         for (a, b) in one.iter().zip(&two) {
@@ -2009,127 +1653,24 @@ mod tests {
     }
 
     #[test]
-    fn forced_formats_are_bit_identical_to_interpreter() {
-        let mut m = yolov5s_twin(4, 2, 95).unwrap();
-        RTossPruner::new(EntryPattern::Two)
-            .prune_graph(&mut m.graph)
-            .unwrap();
-        let engine = SparseModel::compile(&m.graph).unwrap();
-        let probe = init::uniform(&mut init::rng(96), &[1, 3, 32, 32], -1.0, 1.0);
-        let interp = engine
-            .forward_interpreted_with(&probe, &ExecConfig::serial())
-            .unwrap();
-        for (choice, label) in [
-            (FormatChoice::Pattern, "pattern"),
-            (FormatChoice::Coo, "coo"),
-            (FormatChoice::Dense, "dense"),
-        ] {
-            let opts = PlanOptions {
-                format: choice,
-                autotune: AutotuneMode::Heuristic,
-            };
-            let plan = ExecutionPlan::compile_with(&engine, &[1, 3, 32, 32], &opts).unwrap();
-            let s = plan.summary_for(&engine);
-            for st in s.steps.iter().filter(|st| st.kind == "conv") {
-                assert_eq!(st.format, label, "step {}", st.name);
-                assert!(st.autotune_ns.is_empty(), "forced choice must not time");
-            }
-            let out = plan.run(&engine, &probe, &ExecConfig::serial()).unwrap();
-            assert_eq!(out.len(), interp.len());
-            for (o, i) in out.iter().zip(&interp) {
-                let ob: Vec<u32> = o.as_slice().iter().map(|v| v.to_bits()).collect();
-                let ib: Vec<u32> = i.as_slice().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(ob, ib, "{label} plan != interpreter");
-            }
-        }
-    }
-
-    #[test]
-    fn heuristic_splits_on_density() {
-        // Unpruned 3x3 conv: density 1.0 > threshold → dense kernel.
+    fn every_conv_step_runs_the_pattern_kernel() {
+        // Unpruned layers included: they compile to 9-tap pattern packs.
         let mut g = Graph::new();
         let x = g.add_input("x");
         let a = g
             .add_layer("a", Box::new(Conv2d::new(3, 4, 3, 1, 1, 97)), x)
             .unwrap();
-        g.set_outputs(vec![a]).unwrap();
+        let p = g
+            .add_layer(
+                "pool",
+                Box::new(rtoss_nn::layers::MaxPool2d::new(2, 2, 0)),
+                a,
+            )
+            .unwrap();
+        g.set_outputs(vec![p]).unwrap();
         let engine = SparseModel::compile(&g).unwrap();
-        let plan =
-            ExecutionPlan::compile_with(&engine, &[1, 3, 8, 8], &PlanOptions::default()).unwrap();
-        assert_eq!(plan.summary_for(&engine).steps[0].format, "dense");
-
-        // Same layer pruned to 2 taps per kernel: ~2/9 → pattern.
-        let mut g = Graph::new();
-        let x = g.add_input("x");
-        let a = g
-            .add_layer("a", Box::new(Conv2d::new(3, 4, 3, 1, 1, 98)), x)
-            .unwrap();
-        g.set_outputs(vec![a]).unwrap();
-        RTossPruner::new(EntryPattern::Two)
-            .prune_graph(&mut g)
-            .unwrap();
-        let engine = SparseModel::compile(&g).unwrap();
-        let plan =
-            ExecutionPlan::compile_with(&engine, &[1, 3, 8, 8], &PlanOptions::default()).unwrap();
-        assert_eq!(plan.summary_for(&engine).steps[0].format, "pattern");
-    }
-
-    #[test]
-    fn timed_autotune_records_evidence_and_picks_measured_minimum() {
-        let mut m = yolov5s_twin(4, 2, 100).unwrap();
-        RTossPruner::new(EntryPattern::Three)
-            .prune_graph(&mut m.graph)
-            .unwrap();
-        let engine = SparseModel::compile(&m.graph).unwrap();
-        let opts = PlanOptions {
-            format: FormatChoice::Auto,
-            autotune: AutotuneMode::Timed { reps: 2 },
-        };
-        let plan = ExecutionPlan::compile_with(&engine, &[1, 3, 32, 32], &opts).unwrap();
-        let s = plan.summary_for(&engine);
-        let mut saw_conv = false;
-        for st in s.steps.iter().filter(|st| st.kind == "conv") {
-            saw_conv = true;
-            assert_eq!(
-                st.autotune_ns.len(),
-                3,
-                "step {}: {:?}",
-                st.name,
-                st.autotune_ns
-            );
-            // min_by_key keeps the first of equals — same tie-break the
-            // chooser uses, so this holds even on degenerate timers.
-            let min = st
-                .autotune_ns
-                .iter()
-                .min_by_key(|(_, ns)| *ns)
-                .map(|(l, _)| *l)
-                .unwrap();
-            assert_eq!(st.format, min, "chosen format is not the measured minimum");
-        }
-        assert!(saw_conv);
-        // Whatever the timer picked, outputs stay bit-identical.
-        let probe = init::uniform(&mut init::rng(101), &[1, 3, 32, 32], -1.0, 1.0);
-        let out = plan.run(&engine, &probe, &ExecConfig::serial()).unwrap();
-        let interp = engine
-            .forward_interpreted_with(&probe, &ExecConfig::serial())
-            .unwrap();
-        for (o, i) in out.iter().zip(&interp) {
-            assert_eq!(o.as_slice(), i.as_slice());
-        }
-    }
-
-    #[test]
-    fn plan_options_parse_from_env() {
-        std::env::set_var("RTOSS_FORMAT", "coo");
-        std::env::set_var("RTOSS_AUTOTUNE", "time:5");
-        let opts = PlanOptions::from_env();
-        std::env::remove_var("RTOSS_FORMAT");
-        std::env::remove_var("RTOSS_AUTOTUNE");
-        assert_eq!(opts.format, FormatChoice::Coo);
-        assert_eq!(opts.autotune, AutotuneMode::Timed { reps: 5 });
-        let d = PlanOptions::from_env();
-        assert_eq!(d.format, FormatChoice::Auto);
-        assert_eq!(d.autotune, AutotuneMode::Heuristic);
+        let s = engine.plan_summary(&[1, 3, 8, 8]).unwrap();
+        let formats: Vec<(&str, &str)> = s.steps.iter().map(|st| (st.kind, st.format)).collect();
+        assert_eq!(formats, [("conv", "pattern"), ("maxpool", "-")]);
     }
 }

@@ -144,27 +144,7 @@ pub fn measure_model_with(
     reps: usize,
     exec: &ExecConfig,
 ) -> Result<ModelTiming, Box<dyn std::error::Error>> {
-    measure_model_planning(graph, x, reps, exec, true)
-}
-
-/// [`measure_model_with`] with explicit control over execution
-/// planning: `planning = false` times the per-call graph interpreter
-/// instead of the compiled [`ExecutionPlan`](crate::ExecutionPlan)
-/// path (the `--no-plan` baseline the benchmarks expose).
-///
-/// # Errors
-///
-/// Returns an error if the graph cannot be compiled or inference fails.
-pub fn measure_model_planning(
-    graph: &mut rtoss_nn::Graph,
-    x: &Tensor,
-    reps: usize,
-    exec: &ExecConfig,
-    planning: bool,
-) -> Result<ModelTiming, Box<dyn std::error::Error>> {
-    let engine = crate::SparseModel::compile(graph)?
-        .with_exec_config(*exec)
-        .with_planning(planning);
+    let engine = crate::SparseModel::compile(graph)?.with_exec_config(*exec);
     graph.set_training(false);
     graph.forward(x)?; // warm-up
     let start = Instant::now();

@@ -1,7 +1,7 @@
 //! Property tests for the register-tiled conv microkernels.
 //!
 //! Two contracts, randomized over shapes, strides, paddings, entry
-//! patterns, bias/epilogue mixes, and thread widths:
+//! patterns, kernel sizes, bias/epilogue mixes, and thread widths:
 //!
 //! 1. **Pack round-trip** — both kernel-major packs (pattern and COO)
 //!    reconstruct the pruned dense weights *bitwise* through
@@ -9,10 +9,12 @@
 //!    (RV090 re-checks this statically per compiled layer.)
 //! 2. **Kernel equivalence** — every tiled executor variant (pattern
 //!    microkernel, COO, dense) produces bitwise the output of the
-//!    scalar reference executor at every thread width. This is the
-//!    randomized face of RV092: any divergence in canonical
-//!    accumulation order, padded staging, or ragged-edge writeback
-//!    shows up as a bit flip, not a tolerance failure.
+//!    scalar reference executor at every thread width, for every
+//!    kernel size a compiled plan runs: pruned and unpruned 3×3, 1×1,
+//!    and the 6×6 stride-2 stem. This is the randomized face of RV092:
+//!    any divergence in canonical accumulation order, padded staging,
+//!    or ragged-edge writeback shows up as a bit flip, not a tolerance
+//!    failure.
 
 use proptest::prelude::*;
 use rtoss_core::pattern::canonical_set;
@@ -30,6 +32,24 @@ use rtoss_tensor::{init, EpilogueAct, ExecConfig, Tensor};
 fn pruned(o: usize, i: usize, k_entries: usize, seed: u64) -> Tensor {
     let mut w = init::uniform(&mut init::rng(seed), &[o, i, 3, 3], -1.0, 1.0);
     prune_3x3_weights(&mut w, &canonical_set(k_entries).unwrap()).unwrap();
+    w
+}
+
+/// Random `o`×`i` weights of kernel size `k`. With `prune`, 3×3
+/// kernels keep `k_entries` taps and 1×1 layers lose a seeded third of
+/// their weights; 6×6 (the stem) and unpruned layers stay dense.
+fn weights(o: usize, i: usize, k: usize, prune: bool, k_entries: usize, seed: u64) -> Tensor {
+    if prune && k == 3 {
+        return pruned(o, i, k_entries, seed);
+    }
+    let mut w = init::uniform(&mut init::rng(seed), &[o, i, k, k], -1.0, 1.0);
+    if prune && k == 1 {
+        for (j, v) in w.as_mut_slice().iter_mut().enumerate() {
+            if (j as u64 * 7 + seed).is_multiple_of(3) {
+                *v = 0.0;
+            }
+        }
+    }
     w
 }
 
@@ -67,12 +87,19 @@ proptest! {
         batch in 1usize..3,
         stride in 1usize..3,
         pad in 0usize..2,
+        k_sel in 0usize..3,
+        prune_sel in 0usize..4,
         k_entries in 2usize..5,
         bias_sel in 0usize..2,
         epi_sel in 0usize..2,
         seed in 0u64..1000,
     ) {
-        let w = pruned(o, i, k_entries, 0xBEEF ^ seed);
+        let k = [1usize, 3, 6][k_sel];
+        // The 6×6 stem runs at stride 2, pad 2.
+        let (stride, pad) = if k == 6 { (2, 2) } else { (stride, pad) };
+        // One case in four is unpruned.
+        let prune = prune_sel != 0;
+        let w = weights(o, i, k, prune, k_entries, 0xBEEF ^ seed);
         let x = init::uniform(&mut init::rng(seed ^ 7), &[batch, i, h, wd], -1.0, 1.0);
         let with_bias = bias_sel == 1;
         let with_epilogue = epi_sel == 1;
@@ -86,13 +113,13 @@ proptest! {
             Epilogue::NONE
         };
         let label = format!(
-            "o={o} i={i} {h}x{wd} b={batch} s{stride}p{pad} {k_entries}EP \
-             bias={with_bias} epi={with_epilogue}"
+            "o={o} i={i} {h}x{wd} b={batch} k={k} s{stride}p{pad} prune={prune} \
+             {k_entries}EP bias={with_bias} epi={with_epilogue}"
         );
         let pc = PatternCompressedConv::from_dense(&w, stride, pad).unwrap();
         let un = UnstructuredSparseConv::from_dense(&w, stride, pad).unwrap();
-        let oh = out_extent(h, 3, stride, pad).unwrap();
-        let ow = out_extent(wd, 3, stride, pad).unwrap();
+        let oh = out_extent(h, k, stride, pad).unwrap();
+        let ow = out_extent(wd, k, stride, pad).unwrap();
         let n_out = batch * o * oh * ow;
         let mut want = vec![f32::NAN; n_out];
         conv2d_pattern_scalar_into_with(

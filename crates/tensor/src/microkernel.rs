@@ -2,8 +2,8 @@
 //!
 //! The R-TOSS executor spends essentially all of its time accumulating
 //! a handful of fixed kernel taps into output rows. This module is the
-//! shared inner layer for every conv format the sparse crate knows
-//! about: the input plane is first copied into an explicitly
+//! shared inner layer of every tiled conv executor in the sparse
+//! crate: the input plane is first copied into an explicitly
 //! zero-padded staging plane (see [`padded_plane_len`] /
 //! [`pad_plane_into`] — one extra pass over the input, ~1/(2·out_ch)
 //! of the conv's arithmetic), then the output plane is walked in
@@ -36,12 +36,12 @@
 //!   reference — the same argument the canonical-order dense executor
 //!   already relies on for its stored zero taps. RV052/RV092 and the
 //!   kernel proptests pin this.
-//! - **Monomorphization.** [`accum_taps`] takes the tap arity as a
-//!   const generic, so the 2/3/4-entry-pattern bodies (and the dense
-//!   9-tap body) compile to fully unrolled straight-line code, the
-//!   same match-dispatch-into-inlined-code trick that made the PR 5
-//!   `EpilogueAct` epilogue beat fn-pointer dispatch. An arity-generic
-//!   [`accum_taps_dyn`] fallback covers irregular COO rows.
+//! - **One tap loop.** [`accum_taps`] walks a runtime tap list, so
+//!   one body serves every kernel size and entry count: 1×1, the 2–5
+//!   tap R-TOSS patterns, the unpruned 9-tap 3×3, and the 36-tap 6×6
+//!   stem. Const-generic bodies per tap count were measured and bought
+//!   nothing beyond run-to-run noise (EXPERIMENTS.md); the register
+//!   block, not the tap loop, is where the speed comes from.
 //!
 //! Index math over tile coordinates is strength-reduced with
 //! [`FastDivmod`] (multiply-shift, no hardware divide) in the style of
@@ -224,9 +224,11 @@ impl Tile {
                 let off = base + r * self.wp;
                 // Slack sizing makes this infallible; `if let` (not an
                 // early return) keeps the failure edge from extending
-                // the accumulator's live range into a cold path.
-                if let Some(xs) = xp.get(off..off + NR) {
-                    let xs: &[f32; NR] = xs.try_into().unwrap();
+                // the accumulator's live range into a cold path. The
+                // array view's length check folds away after the range
+                // `get`; a `first_chunk` view measured ~20% slower.
+                let xs = xp.get(off..off + NR).and_then(|s| <&[f32; NR]>::try_from(s).ok());
+                if let Some(xs) = xs {
                     unroll_nr!(j {
                         acc[r][j] += val * xs[j];
                     });
@@ -245,49 +247,14 @@ impl Tile {
     }
 }
 
-/// Accumulates one kernel's `T` taps into the tile block, with `T`
-/// monomorphized so the per-tap loop fully unrolls. `taps`/`vals` must
-/// hold at least `T` entries; extras are ignored.
+/// Accumulates one kernel's taps into the tile block, in the order
+/// given: tap `t` adds `vals[t] * x[(oy*stride + ky_t, ox*stride +
+/// kx_t)]` to every lane. Extra taps or values beyond the shorter of
+/// the two slices are ignored.
 #[inline(always)]
-pub fn accum_taps<const T: usize>(
-    acc: &mut AccTile,
-    xp: &[f32],
-    tile: &Tile,
-    taps: &[(u8, u8)],
-    vals: &[f32],
-) {
-    debug_assert!(taps.len() >= T && vals.len() >= T);
-    if taps.len() < T || vals.len() < T {
-        return;
-    }
-    for t in 0..T {
-        tile.accum_tap(acc, xp, taps[t].0 as usize, taps[t].1 as usize, vals[t]);
-    }
-}
-
-/// Arity-generic fallback for irregular tap counts (COO rows, odd
-/// kernel sizes). Same accumulation chain as [`accum_taps`], just
-/// without the unroll.
-#[inline(always)]
-pub fn accum_taps_dyn(acc: &mut AccTile, xp: &[f32], tile: &Tile, taps: &[(u8, u8)], vals: &[f32]) {
-    for (t, &(ky, kx)) in taps.iter().enumerate() {
-        tile.accum_tap(acc, xp, ky as usize, kx as usize, vals[t]);
-    }
-}
-
-/// Dispatches on the tap arity so the common pattern bodies (2EP/3EP/
-/// 4EP plus the 1×1 single tap and the dense 3×3 9-tap) hit the
-/// unrolled monomorphic instantiations.
-#[inline(always)]
-pub fn accum_kernel(acc: &mut AccTile, xp: &[f32], tile: &Tile, taps: &[(u8, u8)], vals: &[f32]) {
-    match taps.len().min(vals.len()) {
-        0 => {}
-        1 => accum_taps::<1>(acc, xp, tile, taps, vals),
-        2 => accum_taps::<2>(acc, xp, tile, taps, vals),
-        3 => accum_taps::<3>(acc, xp, tile, taps, vals),
-        4 => accum_taps::<4>(acc, xp, tile, taps, vals),
-        9 => accum_taps::<9>(acc, xp, tile, taps, vals),
-        _ => accum_taps_dyn(acc, xp, tile, taps, vals),
+pub fn accum_taps(acc: &mut AccTile, xp: &[f32], tile: &Tile, taps: &[(u8, u8)], vals: &[f32]) {
+    for (&(ky, kx), &val) in taps.iter().zip(vals) {
+        tile.accum_tap(acc, xp, ky as usize, kx as usize, val);
     }
 }
 
@@ -484,7 +451,7 @@ mod tests {
                             nr,
                             stride,
                         };
-                        accum_kernel(&mut acc, &xp, &tile, &taps, &vals);
+                        accum_taps(&mut acc, &xp, &tile, &taps, &vals);
                         writeback(
                             &mut got,
                             w_out,

@@ -59,43 +59,18 @@ fn check_one(label: &str, entry: EntryPattern, report: &mut Report) -> Result<()
                 d
             }),
     );
-    // Kernel checks (RV090/RV091/RV092): pack reconstruction per conv
-    // layer, format-choice legality of the compiled plan, and
-    // cross-format bit-identity at serial and tiled widths.
-    report.extend(
-        rtoss_verify::check_model_packs(&engine)
-            .diagnostics
-            .into_iter()
-            .map(|mut d| {
-                d.location = format!("{label}/{}: {}", entry.label(), d.location);
-                d
-            }),
-    );
-    match engine.plan_summary(&INPUT) {
-        Ok(s) => report.extend(
-            rtoss_verify::check_format_choices("plan", &s)
-                .into_iter()
-                .map(|mut d| {
-                    d.location = format!("{label}/{}: {}", entry.label(), d.location);
-                    d
-                }),
-        ),
-        Err(e) => {
-            return Err(format!(
-                "{label}/{}: plan summary failed: {e}",
-                entry.label()
-            ))
-        }
+    // Kernel checks (RV090/RV092): pack reconstruction per conv layer,
+    // and every tiled executor bit-identical to the scalar reference on
+    // every conv layer at the input shape it serves.
+    for kernel_report in [
+        rtoss_verify::check_model_packs(&engine),
+        rtoss_verify::check_model_kernels(&model.graph, &engine, &INPUT),
+    ] {
+        report.extend(kernel_report.diagnostics.into_iter().map(|mut d| {
+            d.location = format!("{label}/{}: {}", entry.label(), d.location);
+            d
+        }));
     }
-    report.extend(
-        rtoss_verify::check_format_equivalence(&engine, &probe, &[1, 4])
-            .diagnostics
-            .into_iter()
-            .map(|mut d| {
-                d.location = format!("{label}/{}: {}", entry.label(), d.location);
-                d
-            }),
-    );
     Ok(())
 }
 

@@ -54,7 +54,6 @@ pub const NAMES: &[&str] = &[
     "slo-hysteresis",
     "flight-dump",
     "kernel-pack",
-    "kernel-choice",
     "kernel-equiv",
 ];
 
@@ -91,7 +90,6 @@ pub fn run(name: &str) -> Option<Report> {
         "slo-hysteresis" => Some(slo_hysteresis_fixture()),
         "flight-dump" => Some(flight_dump_fixture()),
         "kernel-pack" => Some(kernel_pack_fixture()),
-        "kernel-choice" => Some(kernel_choice_fixture()),
         "kernel-equiv" => Some(kernel_equiv_fixture()),
         _ => None,
     }
@@ -129,7 +127,6 @@ pub fn expected_code(name: &str) -> Option<&'static str> {
         "slo-hysteresis" => Some("RV082"),
         "flight-dump" => Some("RV083"),
         "kernel-pack" => Some("RV090"),
-        "kernel-choice" => Some("RV091"),
         "kernel-equiv" => Some("RV092"),
         _ => None,
     }
@@ -869,7 +866,7 @@ pub fn flight_dump_fixture() -> Report {
 }
 
 /// A pruned 3x3 layer for the kernel-family fixtures: real pattern
-/// groups, a non-trivial pack, every format derivable.
+/// groups, a non-trivial pack, COO and dense forms derivable.
 fn kernel_fixture_layer() -> PatternCompressedConv {
     let mut w = init::uniform(&mut init::rng(0x90), &[6, 4, 3, 3], -1.0, 1.0);
     let set = canonical_set(3).expect("canonical 3-entry set");
@@ -885,40 +882,19 @@ pub fn kernel_pack_fixture() -> Report {
     let vals = layer.pack_mut().values_mut();
     vals[0] = f32::from_bits(vals[0].to_bits() ^ 1);
     let mut report = Report::new();
-    report.extend(crate::kernels::check_pattern_pack(
+    report.extend(crate::kernels::check_pack(
         "fixture layer (flipped pack value)",
-        &layer,
+        "pattern",
+        layer.pack(),
+        &layer.to_dense(),
     ));
     report
 }
 
-/// Autotune choice legality: a conv step's recorded measurements say
-/// `dense` is fastest, but the step claims to run `coo` — the tuner is
-/// ignoring its own evidence (RV091).
-pub fn kernel_choice_fixture() -> Report {
-    let engine = plan_fixture_engine();
-    let mut summary = engine
-        .plan_summary(&[1, 3, 8, 8])
-        .expect("plan compiles for the fixture engine");
-    let conv = summary
-        .steps
-        .iter_mut()
-        .find(|st| st.kind == "conv")
-        .expect("fixture engine has conv steps");
-    conv.format = "coo";
-    conv.autotune_ns = vec![("pattern", 300), ("coo", 200), ("dense", 100)];
-    let mut report = Report::new();
-    report.extend(crate::kernels::check_format_choices(
-        "fixture plan (evidence-ignoring choice)",
-        &summary,
-    ));
-    report
-}
-
-/// Cross-format equivalence: the pattern pack's first value is changed,
-/// so the pattern-tiled executor no longer agrees with the scalar
-/// reference, COO, or dense paths built from the intact group
-/// structures (RV092).
+/// Cross-executor equivalence: the pattern pack's first value is
+/// changed, so the tiled pattern executor and the scalar reference
+/// (both reading the pack) no longer agree with the COO and dense
+/// paths built from the intact group structures (RV092).
 pub fn kernel_equiv_fixture() -> Report {
     let mut layer = kernel_fixture_layer();
     layer.pack_mut().values_mut()[0] += 0.5;

@@ -1,74 +1,59 @@
-//! Microkernel/format checks: pack reconstruction, autotune choice
-//! legality, and cross-format bit-identity (RV090/RV091/RV092).
+//! Microkernel checks: pack reconstruction and cross-executor
+//! bit-identity (RV090/RV092).
 //!
-//! PR 10 made the conv format a *plan-time decision*: every
-//! `PatternCompressedConv` carries a kernel-major [`PatternPack`] (and
-//! can derive a COO twin and a dense tensor), and the plan compiler
-//! picks one executor per layer. Three new things can now silently go
-//! wrong:
+//! Every conv step of a compiled plan runs one kernel: the layer's own
+//! kernel-major [`KernelPack`] walked by the register-tiled body. The
+//! paper's COO and dense comparisons walk the same body over a pack
+//! (or tap window) of their own. Two things can silently go wrong:
 //!
-//! - **RV090 — pack reconstruction.** The packed layouts are *derived*
-//!   data built at load time. If packing drops, duplicates, or
-//!   reorders a tap, every downstream executor computes a wrong
-//!   convolution while the group-level structures still validate.
-//!   [`check_pattern_pack`] / [`check_coo_pack`] reconstruct a dense
-//!   weight tensor from the pack alone and require it bitwise equal to
+//! - **RV090 — pack reconstruction.** The pack is *derived* data built
+//!   at load time. If packing drops, duplicates, or reorders a tap,
+//!   the executor computes a wrong convolution while the group-level
+//!   structures still validate. [`check_pack`] reconstructs a dense
+//!   weight tensor from the pack alone and requires it bitwise equal to
 //!   the layer's own `to_dense()`.
-//! - **RV091 — autotune choice legality.** A plan summary must label
-//!   every conv step with a real format (`pattern`/`coo`/`dense`),
-//!   every non-conv step with `-`, and when timed-autotune evidence is
-//!   present the chosen format must be the measured minimum (ties
-//!   break toward the earlier candidate, matching the chooser). A
-//!   violation means the plan is not executing the kernel it claims —
-//!   or the tuner is ignoring its own measurements.
-//! - **RV092 — cross-format bit-identity.** All four executors share
-//!   one canonical accumulation order (bias first, then taps in
-//!   ascending `(ic, ky, kx)`), so forcing any format through
-//!   [`ExecutionPlan::compile_with`] must reproduce the interpreter
-//!   **bit-for-bit** at every thread count. Closeness is not the
-//!   contract: serving-layer dedup compares outputs exactly.
+//! - **RV092 — cross-executor bit-identity.** All executors share one
+//!   canonical accumulation order (bias first, then taps in ascending
+//!   `(ic, ky, kx)`), so the tiled pattern, COO, and dense executors
+//!   must reproduce the scalar reference **bit-for-bit** on every
+//!   layer. Closeness is not the contract: serving-layer dedup compares
+//!   outputs exactly.
 //!
-//! The `kernel-pack` / `kernel-choice` / `kernel-equiv` fixtures prove
-//! each check can fire.
-//!
-//! [`ExecutionPlan::compile_with`]: rtoss_sparse::ExecutionPlan::compile_with
+//! The `kernel-pack` / `kernel-equiv` fixtures prove each check can
+//! fire.
 
 use crate::diag::{Diagnostic, Report};
-use rtoss_sparse::{
-    AutotuneMode, ExecConfig, ExecutionPlan, FormatChoice, PatternCompressedConv, PlanOptions,
-    PlanSummary, SparseModel, UnstructuredSparseConv,
-};
+use rtoss_nn::Graph;
+use rtoss_sparse::{ExecConfig, KernelPack, PatternCompressedConv, SparseModel};
 use rtoss_tensor::Tensor;
 
-/// Compares a reconstructed dense weight against the layer's own dense
-/// view, bitwise (RV090 body shared by both pack flavors).
-fn diff_dense(location: &str, kind: &str, packed: &Tensor, direct: &Tensor) -> Vec<Diagnostic> {
+/// Checks pack reconstruction (RV090): `pack` must rebuild exactly the
+/// dense weight tensor `direct` of the layer it was derived from.
+/// `kind` names the layer's format in the message.
+pub fn check_pack(
+    location: &str,
+    kind: &str,
+    pack: &KernelPack,
+    direct: &Tensor,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if packed.shape() != direct.shape() {
+    let &[o, i, k, _] = direct.shape() else {
         out.push(Diagnostic::error(
             "RV090",
             location,
             format!(
-                "{kind} pack reconstructs shape {:?} but the layer is {:?}",
-                packed.shape(),
+                "{kind} layer has non-conv weight shape {:?}",
                 direct.shape()
             ),
         ));
         return out;
-    }
-    let diffs = packed
-        .as_slice()
-        .iter()
-        .zip(direct.as_slice())
-        .filter(|(a, b)| a.to_bits() != b.to_bits())
-        .count();
+    };
+    let packed = pack.to_dense(o, i, k);
+    let mismatch = |(a, b): (&f32, &f32)| a.to_bits() != b.to_bits();
+    let pairs = || packed.as_slice().iter().zip(direct.as_slice());
+    let diffs = pairs().filter(|&p| mismatch(p)).count();
     if diffs > 0 {
-        let first = packed
-            .as_slice()
-            .iter()
-            .zip(direct.as_slice())
-            .position(|(a, b)| a.to_bits() != b.to_bits())
-            .unwrap_or(0);
+        let first = pairs().position(mismatch).unwrap_or(0);
         out.push(Diagnostic::error(
             "RV090",
             location,
@@ -83,184 +68,60 @@ fn diff_dense(location: &str, kind: &str, packed: &Tensor, direct: &Tensor) -> V
     out
 }
 
-/// Checks pack reconstruction (RV090) for a pattern-compressed layer:
-/// the kernel-major [`rtoss_sparse::PatternPack`] must rebuild exactly
-/// the dense weight tensor the group structure describes.
-pub fn check_pattern_pack(location: &str, layer: &PatternCompressedConv) -> Vec<Diagnostic> {
-    let packed = layer.pack().to_dense(
-        layer.out_channels(),
-        layer.in_channels(),
-        layer.kernel_size(),
-    );
-    diff_dense(location, "pattern", &packed, &layer.to_dense())
-}
-
-/// Checks pack reconstruction (RV090) for a COO layer: the run-merged
-/// [`rtoss_sparse::CooPack`] must rebuild exactly the dense weight
-/// tensor the entry list describes.
-pub fn check_coo_pack(location: &str, layer: &UnstructuredSparseConv) -> Vec<Diagnostic> {
-    let packed = layer.pack().to_dense(
-        layer.out_channels(),
-        layer.in_channels(),
-        layer.kernel_size(),
-    );
-    diff_dense(location, "coo", &packed, &layer.to_dense())
-}
-
-/// Runs RV090 over every conv layer of an engine, both pack flavors
-/// (the COO pack is checked on the derived COO twin of each layer).
+/// Runs RV090 over every conv layer of an engine: the layer's own pack,
+/// and the pack of its derived COO twin.
 pub fn check_model_packs(model: &SparseModel) -> Report {
     let mut report = Report::new();
     for (node, layer) in model.conv_layers() {
         let loc = format!("node {node}");
-        report.extend(check_pattern_pack(&loc, layer));
-        report.extend(check_coo_pack(&loc, &rtoss_sparse::coo_from_pattern(layer)));
+        let dense = layer.to_dense();
+        report.extend(check_pack(&loc, "pattern", layer.pack(), &dense));
+        let coo = rtoss_sparse::coo_from_pattern(layer);
+        report.extend(check_pack(&loc, "coo", coo.pack(), &dense));
     }
     report
 }
 
-/// Checks autotune choice legality (RV091) of a plan summary: format
-/// labels are well-formed per step kind, and any timed evidence is
-/// complete and consistent with the chosen format.
-pub fn check_format_choices(location: &str, s: &PlanSummary) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (i, step) in s.steps.iter().enumerate() {
-        if step.kind == "conv" {
-            if !matches!(step.format, "pattern" | "coo" | "dense") {
-                out.push(Diagnostic::error(
-                    "RV091",
-                    location,
-                    format!(
-                        "step {i} ({}) is a conv but reports format {:?}: the plan is not \
-                         executing a known kernel",
-                        step.name, step.format
-                    ),
-                ));
-                continue;
-            }
-        } else {
-            if step.format != "-" {
-                out.push(Diagnostic::error(
-                    "RV091",
-                    location,
-                    format!(
-                        "step {i} ({}, kind {}) reports conv format {:?} but has no conv \
-                         kernel",
-                        step.name, step.kind, step.format
-                    ),
-                ));
-            }
-            if !step.autotune_ns.is_empty() {
-                out.push(Diagnostic::error(
-                    "RV091",
-                    location,
-                    format!(
-                        "step {i} ({}, kind {}) carries autotune evidence but is not a conv",
-                        step.name, step.kind
-                    ),
-                ));
-            }
-            continue;
-        }
-        if step.autotune_ns.is_empty() {
-            continue;
-        }
-        let labels: Vec<&str> = step.autotune_ns.iter().map(|(l, _)| *l).collect();
-        if labels != ["pattern", "coo", "dense"] {
-            out.push(Diagnostic::error(
-                "RV091",
-                location,
-                format!(
-                    "step {i} ({}) autotune evidence covers {labels:?}, expected every \
-                     candidate once in order [\"pattern\", \"coo\", \"dense\"]",
-                    step.name
-                ),
+/// Runs [`check_layer_format_equivalence`] (RV092) over every conv
+/// layer of `model`, each at the input shape it sees when `graph` — the
+/// graph `model` was compiled from — runs on `input_shape`.
+pub fn check_model_kernels(graph: &Graph, model: &SparseModel, input_shape: &[usize]) -> Report {
+    let mut report = Report::new();
+    let shapes = match graph.infer_shapes(input_shape) {
+        Ok(s) => s,
+        Err(e) => {
+            report.push(Diagnostic::error(
+                "RV092",
+                format!("kernels{input_shape:?}"),
+                format!("shape inference failed: {e}"),
             ));
-            continue;
+            return report;
         }
-        // First-of-min tie-break, matching the chooser exactly.
-        let winner = step
-            .autotune_ns
-            .iter()
-            .min_by_key(|(_, ns)| *ns)
-            .map(|(l, _)| *l)
-            .unwrap_or("pattern");
-        if step.format != winner {
-            out.push(Diagnostic::error(
-                "RV091",
-                location,
-                format!(
-                    "step {i} ({}) chose format {:?} but its own measurements say {winner:?} \
-                     is fastest ({:?}): the tuner is ignoring its evidence",
-                    step.name, step.format, step.autotune_ns
-                ),
-            ));
+    };
+    for (node, layer) in model.conv_layers() {
+        let loc = format!("node {node}");
+        let x_shape = graph
+            .nodes()
+            .get(node)
+            .and_then(|n| n.inputs.first())
+            .and_then(|&j| shapes.get(j));
+        match x_shape {
+            Some(x_shape) => report.extend(check_layer_format_equivalence(&loc, layer, x_shape)),
+            None => report.push(Diagnostic::error(
+                "RV092",
+                loc,
+                "conv node has no input shape in the graph it was compiled from",
+            )),
         }
     }
-    out
+    report
 }
 
-/// Compares two output sets bitwise under the RV092 code.
-fn outputs_identical_rv092(
-    location: &str,
-    got: &[Tensor],
-    want: &[Tensor],
-    what: &str,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if got.len() != want.len() {
-        out.push(Diagnostic::error(
-            "RV092",
-            location,
-            format!(
-                "{what} returned {} outputs, reference returned {}",
-                got.len(),
-                want.len()
-            ),
-        ));
-        return out;
-    }
-    for (k, (g, w)) in got.iter().zip(want).enumerate() {
-        if g.shape() != w.shape() {
-            out.push(Diagnostic::error(
-                "RV092",
-                location,
-                format!(
-                    "output {k}: {what} shape {:?} != reference shape {:?}",
-                    g.shape(),
-                    w.shape()
-                ),
-            ));
-            continue;
-        }
-        let diffs = g
-            .as_slice()
-            .iter()
-            .zip(w.as_slice())
-            .filter(|(a, b)| a.to_bits() != b.to_bits())
-            .count();
-        if diffs > 0 {
-            out.push(Diagnostic::error(
-                "RV092",
-                location,
-                format!(
-                    "output {k}: {what} differs from the reference in {diffs} of {} \
-                     elements — every format shares one canonical accumulation order, \
-                     so cross-format drift means a kernel is accumulating out of order",
-                    w.as_slice().len()
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// Checks cross-format bit-identity at the single-layer level (RV092):
-/// runs the pattern-tiled, COO, and dense executors on a deterministic
-/// probe of `x_shape` and requires each bitwise equal to the scalar
-/// reference executor. This is the layer-granular form of
-/// [`check_format_equivalence`] — the fixtures corrupt one pack and
-/// expect exactly this check to notice.
+/// Checks cross-executor bit-identity for one layer (RV092): runs the
+/// tiled pattern, COO, and dense executors on a deterministic probe of
+/// `x_shape` and requires each bitwise equal to the scalar reference
+/// executor. The `kernel-equiv` fixture corrupts one pack and expects
+/// exactly this check to notice.
 pub fn check_layer_format_equivalence(
     location: &str,
     layer: &PatternCompressedConv,
@@ -381,155 +242,46 @@ pub fn check_layer_format_equivalence(
     out
 }
 
-/// Checks cross-format bit-identity (RV092): compiles the engine once
-/// per forced format (`pattern`, `coo`, `dense`), runs each plan on
-/// `input` at every thread count in `threads`, and requires all of
-/// them to reproduce the serial interpreter bit-for-bit.
-pub fn check_format_equivalence(model: &SparseModel, input: &Tensor, threads: &[usize]) -> Report {
-    let mut report = Report::new();
-    let shape = input.shape();
-    let reference = match model.forward_interpreted_with(input, &ExecConfig::serial()) {
-        Ok(r) => r,
-        Err(e) => {
-            report.push(Diagnostic::error(
-                "RV092",
-                format!("formats{shape:?}"),
-                format!("interpreter forward failed: {e}"),
-            ));
-            return report;
-        }
-    };
-    for (choice, label) in [
-        (FormatChoice::Pattern, "pattern"),
-        (FormatChoice::Coo, "coo"),
-        (FormatChoice::Dense, "dense"),
-    ] {
-        let opts = PlanOptions {
-            format: choice,
-            autotune: AutotuneMode::Heuristic,
-        };
-        let plan = match ExecutionPlan::compile_with(model, shape, &opts) {
-            Ok(p) => p,
-            Err(e) => {
-                report.push(Diagnostic::error(
-                    "RV092",
-                    format!("formats{shape:?} {label}"),
-                    format!("plan compilation failed: {e}"),
-                ));
-                continue;
-            }
-        };
-        let summary = plan.summary_for(model);
-        report.extend(check_format_choices(
-            &format!("formats{shape:?} {label}"),
-            &summary,
-        ));
-        for &t in threads {
-            let loc = format!("formats{shape:?} {label} threads={t}");
-            match plan.run(model, input, &ExecConfig::with_threads(t)) {
-                Ok(got) => report.extend(outputs_identical_rv092(
-                    &loc,
-                    &got,
-                    &reference,
-                    &format!("{label} plan"),
-                )),
-                Err(e) => report.push(Diagnostic::error(
-                    "RV092",
-                    loc,
-                    format!("{label} planned forward failed: {e}"),
-                )),
-            }
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rtoss_core::{EntryPattern, Pruner, RTossPruner};
-    use rtoss_tensor::init;
 
-    fn engine() -> SparseModel {
+    fn twin() -> (Graph, SparseModel) {
         let mut m = rtoss_models::yolov5s_twin(4, 2, 0x90).expect("twin builds");
         RTossPruner::new(EntryPattern::Two)
             .prune_graph(&mut m.graph)
             .expect("prunes");
-        SparseModel::compile(&m.graph).expect("compiles")
+        let engine = SparseModel::compile(&m.graph).expect("compiles");
+        (m.graph, engine)
     }
 
     #[test]
     fn clean_engine_passes_all_kernel_checks() {
-        let engine = engine();
+        let (graph, engine) = twin();
         assert!(!check_model_packs(&engine).has_errors());
-        let s = engine.plan_summary(&[1, 3, 32, 32]).expect("plans");
-        assert!(check_format_choices("clean", &s).is_empty());
-        let probe = init::uniform(&mut init::rng(0x91), &[1, 3, 32, 32], 0.0, 1.0);
-        let report = check_format_equivalence(&engine, &probe, &[1, 4]);
+        let report = check_model_kernels(&graph, &engine, &[1, 3, 32, 32]);
         assert!(!report.has_errors(), "{}", report.render());
     }
 
     #[test]
     fn corrupted_pattern_pack_fires_rv090() {
-        let engine = engine();
+        let (_, engine) = twin();
         let (_, layer) = engine.conv_layers()[0];
         let mut bad = layer.clone();
         let vals = bad.pack_mut().values_mut();
         vals[0] = f32::from_bits(vals[0].to_bits() ^ 1);
-        let diags = check_pattern_pack("corrupt", &bad);
+        let diags = check_pack("corrupt", "pattern", bad.pack(), &bad.to_dense());
         assert!(diags.iter().any(|d| d.code == "RV090"), "{diags:?}");
     }
 
     #[test]
     fn corrupted_coo_pack_fires_rv090() {
-        let engine = engine();
+        let (_, engine) = twin();
         let (_, layer) = engine.conv_layers()[0];
         let mut coo = rtoss_sparse::coo_from_pattern(layer);
-        let vals = coo.pack_mut().values_mut();
-        vals[0] += 1.0;
-        let diags = check_coo_pack("corrupt", &coo);
+        coo.pack_mut().values_mut()[0] += 1.0;
+        let diags = check_pack("corrupt", "coo", coo.pack(), &coo.to_dense());
         assert!(diags.iter().any(|d| d.code == "RV090"), "{diags:?}");
-    }
-
-    #[test]
-    fn evidence_ignoring_choice_fires_rv091() {
-        let engine = engine();
-        let mut s = engine.plan_summary(&[1, 3, 32, 32]).expect("plans");
-        let conv = s
-            .steps
-            .iter_mut()
-            .find(|st| st.kind == "conv")
-            .expect("twin has convs");
-        // Claim evidence that says dense is fastest while running coo.
-        conv.format = "coo";
-        conv.autotune_ns = vec![("pattern", 300), ("coo", 200), ("dense", 100)];
-        let diags = check_format_choices("corrupt", &s);
-        assert!(diags.iter().any(|d| d.code == "RV091"), "{diags:?}");
-    }
-
-    #[test]
-    fn non_conv_with_format_fires_rv091() {
-        let engine = engine();
-        let mut s = engine.plan_summary(&[1, 3, 32, 32]).expect("plans");
-        let other = s
-            .steps
-            .iter_mut()
-            .find(|st| st.kind != "conv")
-            .expect("twin has non-conv steps");
-        other.format = "dense";
-        let diags = check_format_choices("corrupt", &s);
-        assert!(diags.iter().any(|d| d.code == "RV091"), "{diags:?}");
-    }
-
-    #[test]
-    fn output_drift_fires_rv092() {
-        let want = vec![Tensor::full(&[1, 2, 2, 2], 1.0)];
-        let mut got = want.clone();
-        let mut data = got[0].as_slice().to_vec();
-        data[3] = f32::from_bits(data[3].to_bits() ^ 1);
-        got[0] = Tensor::from_vec(data, want[0].shape()).expect("same shape");
-        let diags = outputs_identical_rv092("corrupt", &got, &want, "test");
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "RV092");
     }
 }

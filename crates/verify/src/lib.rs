@@ -58,9 +58,8 @@
 //! | RV081 | telem  | admission windows conserved (`offered == admitted + throttled + shed`) per window, per lane, and against the fleet ledger |
 //! | RV082 | telem  | burn-rate policies valid; alert log time-ordered, firing/resolved alternating, transitions respect the hysteresis band |
 //! | RV083 | telem  | flight dump well-formed: parses, bounded by capacity, entries sorted, `[first, last]` window covers the trigger |
-//! | RV090 | kernel | packed layouts (`PatternPack`/`CooPack`) reconstruct the layer's dense weights bitwise |
-//! | RV091 | kernel | plan format labels legal per step kind; timed-autotune choice equals the measured minimum |
-//! | RV092 | kernel | every forced conv format (pattern/coo/dense) bit-identical to the interpreter at all thread counts |
+//! | RV090 | kernel | kernel-major packs (`KernelPack`, pattern and COO builders) reconstruct the layer's dense weights bitwise |
+//! | RV092 | kernel | tiled pattern, COO, and dense executors bit-identical to the scalar reference on every conv layer |
 //!
 //! Severity is always `Error` for registry violations; artifacts with
 //! errors must not be executed. See DESIGN.md §9.
@@ -88,8 +87,7 @@ pub use diag::{Diagnostic, Report, Severity};
 pub use exec::{check_histogram_buckets, check_tile_partition};
 pub use fleet::{check_fleet_ledger, check_fleet_replicas, check_hash_ring, check_tier_controller};
 pub use kernels::{
-    check_coo_pack, check_format_choices, check_format_equivalence, check_layer_format_equivalence,
-    check_model_packs, check_pattern_pack,
+    check_layer_format_equivalence, check_model_kernels, check_model_packs, check_pack,
 };
 pub use lint::{lint_paths, lint_source};
 pub use model::check_model;
